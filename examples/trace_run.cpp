@@ -18,7 +18,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/stats_bridge.hh"
 #include "core/system.hh"
 #include "workload/trace.hh"
 
@@ -64,7 +63,6 @@ main(int argc, char **argv)
         cfg.policy = core::PolicyKind::Adaptive;
 
     core::System sys(cfg);
-    core::StatsBridge bridge(sys);
 
     workload::TracePlayer player(refs, argc > 1 ? argv[1] : "demo");
     auto res = sys.run(player);
@@ -79,6 +77,6 @@ main(int argc, char **argv)
     core::dumpMessageTable(std::cout,
                            sys.protocol().messageCounters());
     std::cout << "\nstatistics:\n";
-    bridge.dump(std::cout);
+    core::dumpStats(std::cout, sys);
     return res.valueErrors ? 2 : 0;
 }

@@ -258,12 +258,6 @@ runPoint(const SweepPoint &pt)
 }
 
 SweepResult
-runPointTraced(const SweepPoint &pt, std::ostream &trace_out)
-{
-    return runPointObserved(pt, &trace_out, nullptr);
-}
-
-SweepResult
 runPointObserved(const SweepPoint &pt, std::ostream *trace_out,
                  std::ostream *metrics_out, const char *metrics_label)
 {

@@ -175,15 +175,6 @@ struct SweepResult
 SweepResult runPoint(const SweepPoint &pt);
 
 /**
- * Execute one concurrent-engine point with tracing forced on and
- * write the run's Chrome trace_event JSON (Perfetto-loadable) to
- * @p trace_out afterwards. The SweepResult is identical to
- * runPoint's for the same point: tracing is pure observation.
- */
-SweepResult runPointTraced(const SweepPoint &pt,
-                           std::ostream &trace_out);
-
-/**
  * Execute one concurrent-engine point with any combination of
  * observability exports (either stream may be null):
  *

@@ -1,5 +1,8 @@
 #include "system.hh"
 
+#include <iomanip>
+#include <string>
+
 #include "sim/logging.hh"
 
 namespace mscp::core
@@ -122,6 +125,93 @@ System::report(std::ostream &os) const
     for (unsigned i = 0; i < ls.numLevels(); ++i)
         os << " " << ls.levelBits(i);
     os << "\n";
+}
+
+namespace
+{
+
+void
+statLine(std::ostream &os, const std::string &name, double value,
+         const std::string &desc)
+{
+    os << std::left << std::setw(44) << name << " "
+       << std::right << std::setw(16) << value << "  # " << desc
+       << "\n";
+}
+
+} // anonymous namespace
+
+void
+dumpStats(std::ostream &os, const System &sys)
+{
+    const auto &p = sys.protocol();
+    const auto &c = p.counters();
+    const auto &ls = sys.network().linkStats();
+    const auto num = [](std::uint64_t v) {
+        return static_cast<double>(v);
+    };
+    const std::string proto_prefix = "system.protocol.";
+    const std::string net_prefix = "system.network.";
+
+    statLine(os, proto_prefix + "reads", num(c.reads),
+             "processor reads");
+    statLine(os, proto_prefix + "writes", num(c.writes),
+             "processor writes");
+    statLine(os, proto_prefix + "read_hit_ratio",
+             c.reads ? num(c.readHits) / num(c.reads) : 0.0,
+             "fraction of reads hitting locally");
+    statLine(os, proto_prefix + "ownership_transfers",
+             num(c.ownershipTransfers), "block-store owner changes");
+    statLine(os, proto_prefix + "mode_switches", num(c.modeSwitches),
+             "distributed-write/global-read transitions");
+    statLine(os, proto_prefix + "dw_updates", num(c.dwUpdates),
+             "distributed-write multicasts");
+    statLine(os, proto_prefix + "replacements", num(c.replacements),
+             "entry evictions");
+    statLine(os, proto_prefix + "write_backs", num(c.writeBacks),
+             "modified blocks returned to memory");
+    statLine(os, proto_prefix + "messages",
+             num(p.messageCounters().totalCount()),
+             "protocol messages sent");
+
+    const double refs = num(c.reads + c.writes);
+    statLine(os, net_prefix + "total_bits", num(ls.totalBits()),
+             "communication cost CC (eq. 1)");
+    statLine(os, net_prefix + "traversals", num(ls.traversals()),
+             "link traversals");
+    statLine(os, net_prefix + "max_link_bits", num(ls.maxLinkBits()),
+             "hottest single link");
+    statLine(os, net_prefix + "bits_per_ref",
+             refs ? num(ls.totalBits()) / refs : 0.0,
+             "network bits per processor reference");
+    for (unsigned lvl = 0; lvl < ls.numLevels(); ++lvl) {
+        const std::string stage = std::to_string(lvl);
+        statLine(os, net_prefix + "level" + stage + "_bits",
+                 num(ls.levelBits(lvl)),
+                 "bits into stage " + stage + " (L_i of eq. 1)");
+    }
+}
+
+void
+dumpMessageTable(std::ostream &os,
+                 const proto::MessageCounters &counters)
+{
+    os << std::left << std::setw(16) << "message type"
+       << std::right << std::setw(12) << "count"
+       << std::setw(16) << "bits" << "\n";
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(proto::MsgType::NumTypes);
+         ++i) {
+        if (counters.count[i] == 0)
+            continue;
+        os << std::left << std::setw(16)
+           << proto::msgTypeName(static_cast<proto::MsgType>(i))
+           << std::right << std::setw(12) << counters.count[i]
+           << std::setw(16) << counters.bits[i] << "\n";
+    }
+    os << std::left << std::setw(16) << "total"
+       << std::right << std::setw(12) << counters.totalCount()
+       << std::setw(16) << counters.totalBits() << "\n";
 }
 
 } // namespace mscp::core

@@ -61,6 +61,7 @@ class System
     explicit System(const SystemConfig &config);
 
     net::OmegaNetwork &network() { return *net; }
+    const net::OmegaNetwork &network() const { return *net; }
     proto::StenstromProtocol &protocol() { return *proto; }
     const proto::StenstromProtocol &protocol() const
     {
@@ -85,6 +86,18 @@ class System
     std::unique_ptr<proto::StenstromProtocol> proto;
     std::unique_ptr<ModePolicy> modePolicy;
 };
+
+/**
+ * Dump the system's eq. 1 cost terms and protocol counters, one
+ * `name value  # desc` line each: `system.protocol.*` counters and
+ * read hit ratio, then `system.network.*` total bits, traversals,
+ * hottest link, bits per reference and the per-stage L_i bits.
+ */
+void dumpStats(std::ostream &os, const System &sys);
+
+/** Print a per-message-type count/bits table for any engine. */
+void dumpMessageTable(std::ostream &os,
+                      const proto::MessageCounters &counters);
 
 } // namespace mscp::core
 

@@ -108,13 +108,7 @@ struct TimedSystem::Replayer
 TimedSystem::TimedSystem(const core::SystemConfig &sys_cfg,
                          const TimedConfig &timed_cfg)
     : sysCfg(sys_cfg), cfg(timed_cfg),
-      sys(std::make_unique<core::System>(sys_cfg)),
-      group("timed"),
-      readLat(&group, "read_latency", "ticks per read", 0, 4095, 8),
-      writeLat(&group, "write_latency", "ticks per write", 0, 4095,
-               8),
-      hits(&group, "local_refs", "references with no messages"),
-      misses(&group, "remote_refs", "references with messages")
+      sys(std::make_unique<core::System>(sys_cfg))
 {
     fatal_if(timed_cfg.linkWidthBits == 0,
              "link width must be positive");
@@ -191,18 +185,18 @@ TimedSystem::run(workload::ReferenceStream &stream)
 
         Tick latency = t - ready;
         if (r.isWrite) {
-            writeLat.sample(static_cast<double>(latency));
+            res.writeLatency.sample(latency);
             write_lat_sum += static_cast<double>(latency);
             ++writes;
         } else {
-            readLat.sample(static_cast<double>(latency));
+            res.readLatency.sample(latency);
             read_lat_sum += static_cast<double>(latency);
             ++reads;
         }
         if (msgLog.empty())
-            ++hits;
+            ++res.localRefs;
         else
-            ++misses;
+            ++res.remoteRefs;
         zero_load[cpu] += zl;
 
         res.makespan = std::max(res.makespan, t);

@@ -24,12 +24,11 @@
 #define MSCP_TIMED_TIMED_SYSTEM_HH
 
 #include <memory>
-#include <ostream>
 #include <queue>
 #include <vector>
 
+#include "core/latency.hh"
 #include "core/system.hh"
-#include "sim/stats.hh"
 #include "workload/ref_stream.hh"
 
 namespace mscp::timed
@@ -61,6 +60,10 @@ struct TimedRunResult
     Bits networkBits = 0;        ///< functional CC of the run
     double avgReadLatency = 0;   ///< ticks per read
     double avgWriteLatency = 0;  ///< ticks per write
+    core::LatencyHistogram readLatency;  ///< this run's reads, ticks
+    core::LatencyHistogram writeLatency; ///< this run's writes, ticks
+    std::uint64_t localRefs = 0;  ///< references with no messages
+    std::uint64_t remoteRefs = 0; ///< references with messages
     double linkUtilization = 0;  ///< busy-bit fraction of capacity
     /**
      * Ideal-parallel lower bound: the longest single-cpu sum of
@@ -86,22 +89,12 @@ class TimedSystem
      */
     TimedRunResult run(workload::ReferenceStream &stream);
 
-    /** Latency statistics (per-kind distributions). */
-    const stats::Group &statsGroup() const { return group; }
-    void dumpStats(std::ostream &os) const { group.dump(os); }
-
   private:
     struct Replayer;
 
     core::SystemConfig sysCfg;
     TimedConfig cfg;
     std::unique_ptr<core::System> sys;
-
-    stats::Group group;
-    stats::Distribution readLat;
-    stats::Distribution writeLat;
-    stats::Scalar hits;
-    stats::Scalar misses;
 };
 
 } // namespace mscp::timed

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "proto/checker.hh"
 #include "timed/timed_system.hh"
 #include "workload/patterns.hh"
@@ -157,7 +155,7 @@ TEST(TimedSystem, DistributedWriteCutsReadLatencyAtLowW)
               run_policy(core::PolicyKind::ForceGR) / 2);
 }
 
-TEST(TimedSystem, StatsDistributionsPopulate)
+TEST(TimedSystem, RunResultRecordsLatencyHistograms)
 {
     TimedSystem ts(baseConfig(), TimedConfig{});
     workload::UniformRandomParams up;
@@ -165,12 +163,40 @@ TEST(TimedSystem, StatsDistributionsPopulate)
     up.addrRange = 200;
     up.numRefs = 1000;
     workload::UniformRandomWorkload w(up);
-    ts.run(w);
-    std::ostringstream os;
-    ts.dumpStats(os);
-    auto s = os.str();
-    EXPECT_NE(s.find("timed.read_latency"), std::string::npos);
-    EXPECT_NE(s.find("timed.write_latency"), std::string::npos);
+    auto res = ts.run(w);
+
+    EXPECT_EQ(res.refs, 1000u);
+    EXPECT_EQ(res.readLatency.count() + res.writeLatency.count(),
+              res.refs);
+    EXPECT_EQ(res.localRefs + res.remoteRefs, res.refs);
+    EXPECT_GT(res.remoteRefs, 0u);
+    EXPECT_GT(res.readLatency.count(), 0u);
+    EXPECT_GT(res.writeLatency.count(), 0u);
+    EXPECT_GE(static_cast<double>(res.readLatency.max()),
+              res.avgReadLatency);
+    EXPECT_GE(static_cast<double>(res.writeLatency.max()),
+              res.avgWriteLatency);
+}
+
+TEST(TimedSystem, EachRunReportsOnlyItsOwnReferences)
+{
+    TimedSystem ts(baseConfig(), TimedConfig{});
+    workload::UniformRandomParams up;
+    up.numCpus = 16;
+    up.addrRange = 200;
+    up.numRefs = 1000;
+    workload::UniformRandomWorkload first(up);
+    auto a = ts.run(first);
+
+    up.numRefs = 300;
+    up.seed = up.seed + 1;
+    workload::UniformRandomWorkload second(up);
+    auto b = ts.run(second);
+
+    EXPECT_EQ(a.readLatency.count() + a.writeLatency.count(), 1000u);
+    EXPECT_EQ(b.refs, 300u);
+    EXPECT_EQ(b.readLatency.count() + b.writeLatency.count(), 300u);
+    EXPECT_EQ(b.localRefs + b.remoteRefs, 300u);
 }
 
 TEST(TimedSystem, DeterministicAcrossRuns)
