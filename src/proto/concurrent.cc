@@ -478,11 +478,10 @@ void
 ConcurrentProtocol::issueNext(NodeId cpu)
 {
     CpuState &cs = cpus[cpu];
-    if (_aborted || cs.active || cs.queue.empty() ||
+    if (_aborted || cs.active || !cs.hasQueued() ||
         deadNodes.test(cpu))
         return;
-    cs.ref = cs.queue.front();
-    cs.queue.pop_front();
+    cs.ref = cs.queue[cs.head++];
     cs.active = true;
     cs.issueTick = eq.curTick();
     cs.attempts = 0;
@@ -2572,8 +2571,9 @@ ConcurrentProtocol::crashNode(NodeId n, Tick restart_tick)
     std::uint64_t lost = cs.active ? 1 : 0;
     if (restart_tick == 0) {
         // Never coming back: its queued references are lost too.
-        lost += cs.queue.size();
+        lost += cs.queued();
         cs.queue.clear();
+        cs.head = 0;
     }
     cs.active = false;
     cs.phase = Phase::Idle;

@@ -374,7 +374,12 @@ class ConcurrentProtocol
         {}
 
         cache::CacheArray array;
-        std::deque<workload::MemRef> queue;
+        /** References still to issue are queue[head..]; run()
+         *  appends, issueNext() advances head. */
+        std::vector<workload::MemRef> queue;
+        std::size_t head = 0;
+        bool hasQueued() const { return head < queue.size(); }
+        std::size_t queued() const { return queue.size() - head; }
         bool active = false;
         workload::MemRef ref;
         Phase phase = Phase::Idle;

@@ -6,12 +6,18 @@
  * monotonically increasing sequence number breaks ties), which keeps
  * simulations reproducible across runs and platforms.
  *
- * Implementation: a 4-ary min-heap ordered by (tick, key, seq). The
- * heap node embeds the callback (an InlineFunction, so small captures
- * never touch the heap allocator). deschedule() is lazy: the event's
- * id is removed from the pending-id set and the heap node becomes a
- * tombstone that is skipped and reclaimed when it reaches the top.
- * A descheduled event never fires, and size() never counts
+ * Implementation: a 4-ary min-heap of trivially copyable 32-byte
+ * {tick, key, seq, slot} nodes, so a sift is plain 32-byte copies.
+ * The callbacks (InlineFunctions, so captures never touch the heap
+ * allocator) live in a side slab indexed by the node's slot, reused
+ * through an intrusive free list. Each slab slot carries a liveness
+ * flag and a generation counter; an EventId is the slot plus its
+ * generation at schedule time, and the generation bumps whenever
+ * the slot's event fires or is descheduled, so a stale handle never
+ * reaches the event that later reuses the slot. deschedule() is
+ * lazy: the slot goes dead and its heap node becomes a tombstone
+ * that is skipped, and the slot freed, when it reaches the top. A
+ * descheduled event never fires, and size() never counts
  * tombstones. When tombstones outnumber live events the heap is
  * compacted in place, so a queue used as a cancel-heavy timer wheel
  * (and the smaller per-shard queues of the PDES engine) stays
@@ -29,9 +35,9 @@
 #define MSCP_SIM_EVENTQ_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
-#include "sim/flat.hh"
 #include "sim/inline_function.hh"
 #include "sim/types.hh"
 
@@ -41,15 +47,18 @@ namespace mscp
 class MetricsSampler;
 class Tracer;
 
-/** Opaque handle identifying a scheduled event for descheduling. */
+/**
+ * Opaque handle identifying a scheduled event for descheduling
+ * (the event's callback-slab slot and that slot's generation).
+ */
 using EventId = std::uint64_t;
 
 /**
  * Discrete-event queue with deterministic same-tick ordering.
  *
  * The queue owns no simulation objects; callbacks are any `void()`
- * callables (captures up to InlineFunction::InlineSize bytes are
- * stored inline). Typical use:
+ * callables whose captures fit InlineFunction::InlineSize bytes
+ * (checked at compile time). Typical use:
  *
  *     EventQueue eq;
  *     eq.schedule([&]{ ... }, eq.curTick() + 5);
@@ -106,9 +115,10 @@ class EventQueue
     /**
      * Remove a previously scheduled event.
      *
-     * The heap slot is tombstoned and reclaimed lazily, but the
-     * event is dead from this call on: it will never fire and no
-     * longer counts toward size().
+     * The callback is destroyed at once; the heap node is
+     * tombstoned and reclaimed lazily, but the event is dead from
+     * this call on: it will never fire and no longer counts toward
+     * size().
      *
      * @return true if the event was pending and is now removed,
      *         false if it already fired, was already descheduled,
@@ -162,33 +172,60 @@ class EventQueue
     std::size_t tombstoneSlots() const { return tombstones; }
 
   private:
+    /**
+     * Heap entry: the ordering key and the slab slot holding the
+     * event's callback. A fixed-width, trivially copyable 32-byte
+     * POD, so every sift step is a plain copy.
+     */
     struct Node
     {
         Tick when;
         std::uint64_t key;
         std::uint64_t seq;
-        InlineFunction cb;
-
-        bool
-        before(const Node &o) const
-        {
-            if (when != o.when)
-                return when < o.when;
-            if (key != o.key)
-                return key < o.key;
-            return seq < o.seq;
-        }
+        std::uint32_t slot;
     };
+    static_assert(sizeof(Node) == 32,
+                  "EventQueue::Node must stay a 32-byte heap entry");
+    static_assert(std::is_trivially_copyable_v<Node>,
+                  "EventQueue::Node must stay trivially copyable");
+
+    /** Callback-slab entry. */
+    struct Slot
+    {
+        InlineFunction cb;
+        /** Bumped each time the slot's event fires or is
+         *  descheduled, invalidating outstanding handles. */
+        std::uint32_t gen = 0;
+        /** Next free slot while this one is on the free list. */
+        std::uint32_t nextFree = 0;
+        /** Scheduled and neither fired nor descheduled. */
+        bool live = false;
+    };
+
+    /** Free-list terminator (and the slab's size limit). */
+    static constexpr std::uint32_t NoSlot = ~std::uint32_t{0};
+
+    /** Strict (tick, key, seq) order; seq is unique. */
+    static bool
+    before(const Node &a, const Node &b)
+    {
+        if (a.when != b.when)
+            return a.when < b.when;
+        if (a.key != b.key)
+            return a.key < b.key;
+        return a.seq < b.seq;
+    }
 
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
-    void push(Node n);
     /** Remove the top node; heap must be non-empty. */
     Node popTop();
     /** Drop tombstoned nodes off the top of the heap. */
     void pruneTop();
     /** Rebuild the heap without its tombstoned slots. */
     void compact();
+    std::uint32_t allocSlot();
+    void freeSlot(std::uint32_t s);
 
     Tracer *tracer = nullptr;
     MetricsSampler *msampler = nullptr;
@@ -197,8 +234,8 @@ class EventQueue
     std::uint64_t _executed = 0;
     std::size_t tombstones = 0;
     std::vector<Node> heap;
-    /** Ids of scheduled-and-not-yet-fired, not-descheduled events. */
-    FlatSet<EventId> pending;
+    std::vector<Slot> slots;
+    std::uint32_t freeHead = NoSlot;
 };
 
 } // namespace mscp

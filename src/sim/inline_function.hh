@@ -6,8 +6,9 @@
  * which made every scheduled event an allocation. InlineFunction
  * stores captures up to InlineSize bytes inside the object itself
  * (enough for the simulator's {this, id, tick} lambdas and for a
- * wrapped std::function delivery callback) and only falls back to
- * the heap for oversized captures.
+ * timed delivery's {DeliveryFn, dst, when} capture) and has no heap
+ * fallback: an oversized capture, or one whose move may throw, is a
+ * compile error, so no event can silently allocate.
  */
 
 #ifndef MSCP_SIM_INLINE_FUNCTION_HH
@@ -36,14 +37,16 @@ class InlineFunction
     InlineFunction(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= InlineSize &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            ::new (storage()) Fn(std::forward<F>(f));
-            ops = &inlineOps<Fn>;
-        } else {
-            heapPtr() = new Fn(std::forward<F>(f));
-            ops = &heapOps<Fn>;
-        }
+        static_assert(sizeof(Fn) <= InlineSize,
+                      "capture exceeds InlineFunction::InlineSize "
+                      "(56 bytes); InlineFunction never allocates");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "capture over-aligned for InlineFunction");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "InlineFunction requires nothrow-movable "
+                      "captures");
+        ::new (storage()) Fn(std::forward<F>(f));
+        ops = &inlineOps<Fn>;
     }
 
     InlineFunction(InlineFunction &&o) noexcept
@@ -83,13 +86,6 @@ class InlineFunction
     };
 
     void *storage() { return buf; }
-    const void *storage() const { return buf; }
-
-    void *&
-    heapPtr()
-    {
-        return *reinterpret_cast<void **>(buf);
-    }
 
     template <typename Fn>
     static constexpr Ops inlineOps = {
@@ -106,20 +102,6 @@ class InlineFunction
         [](InlineFunction *self) {
             std::launder(
                 reinterpret_cast<Fn *>(self->storage()))->~Fn();
-        },
-    };
-
-    template <typename Fn>
-    static constexpr Ops heapOps = {
-        [](InlineFunction *self) {
-            (*static_cast<Fn *>(self->heapPtr()))();
-        },
-        [](InlineFunction *from, InlineFunction *to) {
-            to->heapPtr() = from->heapPtr();
-            from->heapPtr() = nullptr;
-        },
-        [](InlineFunction *self) {
-            delete static_cast<Fn *>(self->heapPtr());
         },
     };
 
@@ -177,7 +159,10 @@ class InlineCallback
     {
         using Fn = std::decay_t<F>;
         static_assert(sizeof(Fn) <= InlineSize,
-                      "capture too large for InlineCallback");
+                      "capture exceeds InlineCallback::InlineSize "
+                      "(24 bytes)");
+        static_assert(alignof(Fn) <= alignof(void *),
+                      "capture over-aligned for InlineCallback");
         static_assert(std::is_trivially_copyable_v<Fn>,
                       "InlineCallback requires trivially copyable "
                       "functors");
@@ -201,8 +186,11 @@ class InlineCallback
   private:
     void (*invoke)(void *, Args...) = nullptr;
     /** Mutable so stateful (mutable-lambda) functors stay callable
-     *  through the const interface the send paths use. */
-    alignas(std::max_align_t) mutable unsigned char buf[InlineSize];
+     *  through the const interface the send paths use. Pointer
+     *  alignment keeps the object at 8 + InlineSize = 32 bytes, so
+     *  a delivery event's {DeliveryFn, dst, when} capture
+     *  (32 + 4 + 8 bytes) fits InlineFunction's buffer. */
+    alignas(void *) mutable unsigned char buf[InlineSize];
 };
 
 } // namespace mscp

@@ -303,10 +303,9 @@ EngineGateway::canonical() const
                     if (timeouts)
                         writeMsg(cs.lastReq, false);
                 }
-                out.u32(static_cast<std::uint32_t>(
-                    cs.queue.size()));
-                for (const auto &r : cs.queue)
-                    writeRef(r);
+                out.u32(static_cast<std::uint32_t>(cs.queued()));
+                for (std::size_t i = cs.head; i < cs.queue.size(); ++i)
+                    writeRef(cs.queue[i]);
                 out.u8(cs.evicting ? 1 : 0);
                 if (cs.evicting) {
                     out.u64(cs.victimBlk);

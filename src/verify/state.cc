@@ -290,7 +290,7 @@ EngineGateway::enabledActions() const
 
     for (NodeId c = 0; c < n; ++c) {
         const auto &cs = eng->cpus[c];
-        if (!cs.active && !cs.queue.empty() &&
+        if (!cs.active && cs.hasQueued() &&
             !eng->deadNodes.test(c))
             cpuAct(ActionKind::Issue, c);
     }
@@ -427,7 +427,7 @@ EngineGateway::enabledNonDeliver(const Action &a) const
     switch (a.kind) {
       case ActionKind::Issue: {
         const auto &cs = eng->cpus[a.node];
-        return !cs.active && !cs.queue.empty() &&
+        return !cs.active && cs.hasQueued() &&
                !eng->deadNodes.test(a.node);
       }
       case ActionKind::Commit:
@@ -525,9 +525,11 @@ EngineGateway::footprint(const Action &a) const
         // streams originating there; a write registers a pending
         // monitor value, a read may sample on a hit.
         f.comps = cpuComp(a.node);
-        const auto &q = eng->cpus[a.node].queue;
-        if (!q.empty())
-            mon(q.front().addr, q.front().isWrite);
+        const auto &cs = eng->cpus[a.node];
+        if (cs.hasQueued()) {
+            const workload::MemRef &next = cs.queue[cs.head];
+            mon(next.addr, next.isWrite);
+        }
         break;
       }
       case ActionKind::Commit:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/eventq.hh"
@@ -325,4 +326,60 @@ TEST(EventQueue, DescheduleHeavyQueueStaysCompact)
     }
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.run(), 0u);
+}
+
+TEST(EventQueue, StaleHandleMissesTheEventReusingItsSlot)
+{
+    // Handles carry their slot's generation: once an event fires or
+    // is descheduled, its slot may go to a new event, and the old
+    // handle must neither cancel that event nor stop it firing.
+    EventQueue eq;
+    EventId fired = eq.schedule([] {}, 1);
+    eq.run();
+    int reused = 0;
+    eq.schedule([&] { ++reused; }, 2);
+    EXPECT_FALSE(eq.deschedule(fired));
+    EXPECT_EQ(eq.run(), 1u);
+    EXPECT_EQ(reused, 1);
+
+    // Descheduling the only event compacts the heap at once, so its
+    // slot is free again before the next schedule.
+    EventId cancelled = eq.schedule([] { FAIL(); }, 3);
+    EXPECT_TRUE(eq.deschedule(cancelled));
+    EXPECT_EQ(eq.tombstoneSlots(), 0u);
+    eq.schedule([&] { ++reused; }, 4);
+    EXPECT_FALSE(eq.deschedule(cancelled));
+    EXPECT_FALSE(eq.deschedule(fired));
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_EQ(eq.run(), 1u);
+    EXPECT_EQ(reused, 2);
+}
+
+TEST(EventQueue, CallbackGrowingTheSlabKeepsTickSeqOrder)
+{
+    // The running callback schedules far more events than the slab
+    // holds, so the slab reallocates while that callback executes
+    // (it was moved out of its slot first). Every event must fire,
+    // in (tick, schedule order).
+    EventQueue eq;
+    constexpr int Burst = 2000;
+    std::vector<std::pair<Tick, int>> order;
+    std::uint64_t x = 0x13198a2e03707344ull;
+    eq.schedule([&] {
+        for (int i = 0; i < Burst; ++i) {
+            x ^= x << 13; x ^= x >> 7; x ^= x << 17;
+            Tick t = eq.curTick() + x % 37;
+            eq.schedule([&order, &eq, i] {
+                order.emplace_back(eq.curTick(), i);
+            }, t);
+        }
+    }, 5);
+    EXPECT_EQ(eq.run(), Burst + 1u);
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(Burst));
+    for (std::size_t i = 1; i < order.size(); ++i) {
+        EXPECT_TRUE(order[i - 1].first < order[i].first ||
+                    (order[i - 1].first == order[i].first &&
+                     order[i - 1].second < order[i].second))
+            << "event " << order[i].second << " out of order";
+    }
 }

@@ -25,10 +25,11 @@ hot paths rely on but the compiler only partially enforces:
     fields explicitly and must be updated in lockstep with any new
     member -- flag the drift here, not in a debugger.
 
- 5. LatencySink stays an InlineCallback alias and InlineFunction's
+ 5. LatencySink stays an InlineCallback alias, InlineCallback's
     trivially-copyable / trivially-destructible static_asserts
-    remain: latency sampling runs inside the event loop and must
-    never allocate.
+    remain, and InlineFunction has no heap path ('new Fn'): latency
+    sampling and every scheduled event run inside the event loop
+    and must never allocate.
 
  6. MailboxSlot stays a fixed-width trivially-copyable POD sized to
     exactly one 64-byte cache line: PDES cross-shard sends memcpy
@@ -51,10 +52,17 @@ hot paths rely on but the compiler only partially enforces:
     frames without blowing memory on the widest configs. Size and
     trivially-copyable static_asserts must stay in both headers.
 
+ 9. EventQueue::Node (sim/eventq.hh) stays a fixed-width, trivially
+    copyable 32-byte POD with its size and trivially-copyable
+    static_asserts: the event heap sifts nodes as plain copies and
+    keeps callbacks in a side slab, so a callback (or any other
+    non-trivial member) moving back into the node would silently
+    bring back the per-swap indirect moves.
+
 Run from the repo root:  python3 tools/lint_pods.py
 Exit status 0 iff every check passes; findings go to stderr.
-'--selftest' additionally feeds checks 7 and 8 deliberately
-corrupted structs and fails unless the lint flags them (guards the
+'--selftest' additionally feeds checks 5, 7, 8 and 9 deliberately
+corrupted sources and fails unless the lint flags them (guards the
 guard).
 """
 
@@ -178,19 +186,26 @@ def check_msg():
              f"{[d[2] for d in dynamic]}")
 
 
-def check_latency_sink():
+def check_latency_sink(text=None):
     path = SRC / "proto" / "concurrent.hh"
-    if not re.search(r"using\s+LatencySink\s*=\s*InlineCallback<",
-                     path.read_text()):
+    if text is None and not re.search(
+            r"using\s+LatencySink\s*=\s*InlineCallback<",
+            path.read_text()):
         fail(path, 1, "LatencySink is no longer an InlineCallback "
                       "alias (zero-allocation sampling contract)")
     inl = SRC / "sim" / "inline_function.hh"
-    text = inl.read_text()
+    if text is None:
+        text = inl.read_text()
     for trait in ("is_trivially_copyable_v",
                   "is_trivially_destructible_v"):
         if trait not in text:
-            fail(inl, 1, f"InlineFunction lost its {trait} "
+            fail(inl, 1, f"InlineCallback lost its {trait} "
                          f"static_assert")
+    for i, raw in enumerate(text.splitlines()):
+        if re.search(r"\bnew\s+Fn\b", raw.split("//")[0]):
+            fail(inl, i + 1, "InlineFunction regained a heap path "
+                             "('new Fn'); oversized captures must "
+                             "stay a compile error")
 
 
 def check_mailbox_slot():
@@ -218,6 +233,29 @@ def check_mailbox_slot():
                          "<MailboxSlot> static_assert")
 
 
+def check_pod(path, text, name, size, fixed):
+    """A frozen POD: fixed-width members plus size and
+    trivially-copyable static_asserts."""
+    body, line = extract_struct(text, name)
+    if body is None:
+        fail(path, 1, f"struct {name} not found")
+        return
+    for off, mtype, member in member_lines(body):
+        if mtype not in fixed:
+            fail(path, line + off,
+                 f"{name} member '{member}' has non-fixed-width "
+                 f"type '{mtype}' ({size}-byte POD contract)")
+    if not re.search(r"static_assert\(sizeof\(" + name +
+                     r"\)\s*==\s*" + str(size), text):
+        fail(path, line,
+             f"missing sizeof({name}) == {size} static_assert")
+    if not re.search(r"static_assert\(\s*std::"
+                     r"is_trivially_copyable_v<" + name + ">",
+                     text):
+        fail(path, line, f"missing is_trivially_copyable_v"
+                         f"<{name}> static_assert")
+
+
 METRIC_PODS = (
     ("MetricId", 8, {"std::uint32_t", "std::uint16_t"}),
     ("MetricWindowHeader", 32, {"std::uint64_t"}),
@@ -229,24 +267,7 @@ def check_metric_pods(text=None):
     if text is None:
         text = path.read_text()
     for name, size, fixed in METRIC_PODS:
-        body, line = extract_struct(text, name)
-        if body is None:
-            fail(path, 1, f"struct {name} not found")
-            continue
-        for off, mtype, member in member_lines(body):
-            if mtype not in fixed:
-                fail(path, line + off,
-                     f"{name} member '{member}' has non-fixed-width "
-                     f"type '{mtype}' ({size}-byte POD contract)")
-        if not re.search(r"static_assert\(sizeof\(" + name +
-                         r"\)\s*==\s*" + str(size), text):
-            fail(path, line,
-                 f"missing sizeof({name}) == {size} static_assert")
-        if not re.search(r"static_assert\(\s*std::"
-                         r"is_trivially_copyable_v<" + name + ">",
-                         text):
-            fail(path, line, f"missing is_trivially_copyable_v"
-                             f"<{name}> static_assert")
+        check_pod(path, text, name, size, fixed)
 
 
 VERIFY_PODS = (
@@ -260,24 +281,15 @@ def check_verify_pods(texts=None):
     for fname, name, size, fixed in VERIFY_PODS:
         path = SRC / "verify" / fname
         text = texts[name] if texts else path.read_text()
-        body, line = extract_struct(text, name)
-        if body is None:
-            fail(path, 1, f"struct {name} not found")
-            continue
-        for off, mtype, member in member_lines(body):
-            if mtype not in fixed:
-                fail(path, line + off,
-                     f"{name} member '{member}' has non-fixed-width "
-                     f"type '{mtype}' ({size}-byte POD contract)")
-        if not re.search(r"static_assert\(sizeof\(" + name +
-                         r"\)\s*==\s*" + str(size), text):
-            fail(path, line,
-                 f"missing sizeof({name}) == {size} static_assert")
-        if not re.search(r"static_assert\(\s*std::"
-                         r"is_trivially_copyable_v<" + name + ">",
-                         text):
-            fail(path, line, f"missing is_trivially_copyable_v"
-                             f"<{name}> static_assert")
+        check_pod(path, text, name, size, fixed)
+
+
+def check_event_node(text=None):
+    path = SRC / "sim" / "eventq.hh"
+    if text is None:
+        text = path.read_text()
+    check_pod(path, text, "Node", 32,
+              {"Tick", "std::uint64_t", "std::uint32_t"})
 
 
 # Deliberately broken metrics PODs for --selftest: a non-fixed-width
@@ -319,17 +331,43 @@ struct LivenessFrame
 }
 
 
+# Deliberately broken event-heap node for --selftest: the callback
+# moved back into the node and no static_asserts. Check 9 must flag
+# it.
+SELFTEST_BAD_NODE = """
+struct Node
+{
+    Tick when;
+    std::uint64_t seq;
+    InlineFunction cb;
+};
+"""
+
+
+# An InlineFunction that regained its heap fallback, for --selftest.
+# Check 5 must flag the 'new Fn'.
+SELFTEST_BAD_INLINE = """
+static_assert(std::is_trivially_copyable_v<Fn>, "");
+static_assert(std::is_trivially_destructible_v<Fn>, "");
+heapPtr() = new Fn(std::forward<F>(f));
+"""
+
+
 def selftest():
+    check_latency_sink()
     check_metric_pods()
     check_verify_pods()
+    check_event_node()
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
         print("lint_pods --selftest: repo sources must pass "
-              "checks 7 and 8 first", file=sys.stderr)
+              "checks 5, 7, 8 and 9 first", file=sys.stderr)
         return 1
+    check_latency_sink(text=SELFTEST_BAD_INLINE)
     check_metric_pods(text=SELFTEST_BAD)
     check_verify_pods(texts=SELFTEST_BAD_VERIFY)
+    check_event_node(text=SELFTEST_BAD_NODE)
     flagged = list(errors)
     errors.clear()
     wanted = ["'slot'", "'label'", "sizeof(MetricId)",
@@ -338,7 +376,9 @@ def selftest():
               "'comps'", "'edges'", "sizeof(ActionFootprint)",
               "sizeof(LivenessFrame)",
               "is_trivially_copyable_v<ActionFootprint>",
-              "is_trivially_copyable_v<LivenessFrame>"]
+              "is_trivially_copyable_v<LivenessFrame>",
+              "'cb'", "sizeof(Node)", "is_trivially_copyable_v<Node>",
+              "heap path"]
     missing = [w for w in wanted
                if not any(w in e for e in flagged)]
     if missing:
@@ -348,7 +388,7 @@ def selftest():
               f"flagged, missing findings about {missing}",
               file=sys.stderr)
         return 1
-    print(f"lint_pods --selftest: checks 7 and 8 flagged all "
+    print(f"lint_pods --selftest: checks 5, 7, 8 and 9 flagged all "
           f"{len(flagged)} planted defects")
     return 0
 
@@ -363,6 +403,7 @@ def main():
     check_mailbox_slot()
     check_metric_pods()
     check_verify_pods()
+    check_event_node()
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
