@@ -4,7 +4,6 @@
 #include <fstream>
 #include <ostream>
 
-#include "core/bench_json.hh"
 #include "proto/checker.hh"
 #include "proto/concurrent.hh"
 #include "proto/dragon.hh"
@@ -272,7 +271,7 @@ capturePointObservability(const SweepPoint &pt,
                           const char *metrics_label)
 {
     const char *trace_path = std::getenv("MSCP_TRACE_OUT");
-    const char *metrics_path = metricsOutPath();
+    const char *metrics_path = std::getenv("MSCP_METRICS_OUT");
     if (!trace_path && !metrics_path)
         return false;
 
@@ -295,24 +294,6 @@ capturePointObservability(const SweepPoint &pt,
                      metrics_file.is_open() ? &metrics_file : nullptr,
                      metrics_label);
     return true;
-}
-
-OpLatencies
-mergeLatencies(const std::vector<SweepResult> &results)
-{
-    OpLatencies all;
-    for (const SweepResult &r : results)
-        all.merge(r.latencies);
-    return all;
-}
-
-std::uint64_t
-totalEvents(const std::vector<SweepResult> &results)
-{
-    std::uint64_t events = 0;
-    for (const SweepResult &r : results)
-        events += r.events;
-    return events;
 }
 
 std::vector<SweepResult>

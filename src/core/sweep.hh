@@ -124,8 +124,7 @@ struct SweepResult
      * events for the event-driven concurrent engine, replayed
      * references for the atomic engines (each reference is one
      * step of their replay loop). Never zero for a completed run,
-     * so bench JSON events/events_per_sec stay meaningful for
-     * every engine column.
+     * so per-event costs stay meaningful for every engine column.
      */
     std::uint64_t events = 0;
     /** @{ concurrent engine only (zero otherwise) */
@@ -157,7 +156,7 @@ struct SweepResult
      * Per-operation-class latency histograms (concurrent engine
      * only; empty otherwise). Pure counter state, so the defaulted
      * operator== and the thread-count-stability contract both keep
-     * holding; merge across points with mergeLatencies().
+     * holding.
      */
     OpLatencies latencies;
 
@@ -182,7 +181,7 @@ SweepResult runPoint(const SweepPoint &pt);
  *    metrics counter tracks spliced onto the same timeline when
  *    metrics are on -- one Perfetto view of spans and contention;
  *  - @p metrics_out: the run's window series as JSON Lines
- *    (schema in core/bench_json.hh), each record tagged with
+ *    (schema at exportMetricsJsonLines in sim/metrics.hh), each record tagged with
  *    @p metrics_label so multi-run files stay separable.
  *
  * Whichever stream is given forces the matching subsystem on. The
@@ -208,17 +207,6 @@ SweepResult runPointObserved(const SweepPoint &pt,
  */
 bool capturePointObservability(const SweepPoint &pt,
                                const char *metrics_label);
-
-/**
- * Merge every point's latency histograms in index order. Plain
- * counter addition: the merged result is bit-identical however the
- * points were scheduled.
- */
-OpLatencies mergeLatencies(const std::vector<SweepResult> &results);
-
-/** Sum of every point's executed simulation steps (bench JSON
- *  events field). */
-std::uint64_t totalEvents(const std::vector<SweepResult> &results);
 
 /**
  * Execute every point, fanned over @p num_threads workers.

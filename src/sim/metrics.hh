@@ -451,13 +451,18 @@ mergeMetricWindows(const std::vector<const MetricsSampler *> &samplers);
  * Append one JSON Lines record per window to @p os:
  *
  *   {"metrics":"<source>","label":"<label>","window":K,
- *    "end_tick":T,"series":{"name":V,...,"hist":[...],
- *    "grid":[[...],...]}}
+ *    "end_tick":T,"series":{"<name>":<value>,...}}
  *
- * Counter / Histogram / Grid values are per-window deltas (the
- * cumulative snapshots are differenced at export); Gauge values
- * are the sampled levels. The full schema is documented in
- * core/bench_json.hh.
+ * where <source> names the engine ("concurrent", "pdes"), <label>
+ * separates runs sharing a file, K is the window index (ticks
+ * [K*W, (K+1)*W) for window width W), end_tick the first tick NOT
+ * covered, and <value> is a number (counter delta / gauge sample),
+ * a 16-element log2-bucket array (histogram delta), or a nested
+ * row-major array of arrays (grid delta). Counter / Histogram /
+ * Grid values are per-window deltas (the cumulative snapshots are
+ * differenced at export); Gauge values are the sampled levels.
+ * Benches append these records to $MSCP_METRICS_OUT; stdout is
+ * never touched, so bench tables stay byte-stable.
  */
 void exportMetricsJsonLines(std::ostream &os,
                             const MetricsRegistry &reg,

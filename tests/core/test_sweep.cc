@@ -100,19 +100,14 @@ TEST(Sweep, EveryEngineReportsEvents)
 {
     // Replay engines count one step per reference; the event-driven
     // engine counts queue events. Either way events must be nonzero
-    // so bench events/sec stays meaningful for every column, and
-    // totalEvents() must be the plain sum.
+    // so per-event costs stay meaningful for every column.
     auto points = mixedGrid();
     auto results = core::runSweep(points, 2);
-    std::uint64_t sum = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_GT(results[i].events, 0u)
             << core::engineKindName(points[i].engine);
         EXPECT_GE(results[i].events, results[i].refs);
-        sum += results[i].events;
     }
-    EXPECT_EQ(core::totalEvents(results), sum);
-    EXPECT_GT(sum, 0u);
 }
 
 TEST(Sweep, DifferentSeedsDiverge)
