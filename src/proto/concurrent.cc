@@ -1817,7 +1817,7 @@ ConcurrentProtocol::processHomeRequest(HomeState &h, const Msg &m)
         return;
     }
     if (h.busy.contains(blk)) {
-        std::deque<Msg> &q = h.waiting[blk];
+        std::vector<Msg> &q = h.waiting[blk];
         for (Msg &w : q) {
             if (w.requester == m.requester) {
                 // A retry superseding its still-queued original (a
@@ -1955,10 +1955,10 @@ ConcurrentProtocol::drainHomeQueue(HomeState &h, BlockId blk)
 {
     // Re-find after every request: processing can queue onto this
     // block again and rehash the waiting table.
-    std::deque<Msg> *q = h.waiting.find(blk);
+    std::vector<Msg> *q = h.waiting.find(blk);
     while (q && !q->empty() && !h.busy.contains(blk)) {
         Msg m = std::move(q->front());
-        q->pop_front();
+        q->erase(q->begin());
         processHomeRequest(h, m);
         q = h.waiting.find(blk);
     }
@@ -2441,7 +2441,7 @@ ConcurrentProtocol::buildDeadlockReport(
         }
         const HomeState &h = homes[homeOf(blk)];
         const std::uint64_t *tok = h.busyToken.find(blk);
-        const std::deque<Msg> *q = h.waiting.find(blk);
+        const std::vector<Msg> *q = h.waiting.find(blk);
         out += csprintf(
             "        home%u: busy=%d token=%llu queued=%zu "
             "bsOwner=%u\n",
@@ -2800,7 +2800,7 @@ ConcurrentProtocol::finishRecovery(HomeState &h, BlockId blk)
         // the restart against the serve - the serve would arrive
         // stale and be dropped while the block store already names
         // the suspecter as owner.
-        const std::deque<Msg> *q = h.waiting.find(blk);
+        const std::vector<Msg> *q = h.waiting.find(blk);
         bool queued = false;
         if (q) {
             for (const Msg &w : *q) {

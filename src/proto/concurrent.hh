@@ -37,7 +37,6 @@
 #ifndef MSCP_PROTO_CONCURRENT_HH
 #define MSCP_PROTO_CONCURRENT_HH
 
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -493,7 +492,9 @@ class ConcurrentProtocol
 
         mem::MemoryModule mem;
         FlatSet<BlockId> busy;
-        FlatMap<BlockId, std::deque<Msg>> waiting;
+        /** Requests parked behind a busy block, oldest first (a
+         *  handful at most: one transaction per cpu). */
+        FlatMap<BlockId, std::vector<Msg>> waiting;
         /** @{ robustness: duplicate suppression + busy matching */
         /** Highest request seq accepted per requester; lower or
          *  equal arrivals are duplicates/superseded retries. */

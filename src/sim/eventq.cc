@@ -220,13 +220,13 @@ EventQueue::run(Tick max_ticks)
 }
 
 void
-EventQueue::reset()
+EventQueue::reset(Tick start)
 {
     heap.clear();
     slots.clear();
     freeHead = NoSlot;
     tombstones = 0;
-    _curTick = 0;
+    _curTick = start;
     nextSeq = 0;
     _executed = 0;
 }

@@ -145,8 +145,12 @@ class EventQueue
      */
     std::uint64_t run(Tick maxTicks = maxTick);
 
-    /** Drop every pending event and reset time to zero. */
-    void reset();
+    /**
+     * Drop every pending event and set time to @p start. Storage
+     * is kept, so an idle queue can be put back to a saved tick
+     * without allocating.
+     */
+    void reset(Tick start = 0);
 
     /**
      * Attach a tracer recording an EvSchedule record per schedule()

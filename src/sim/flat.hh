@@ -6,7 +6,11 @@
  * std::set / std::map, paying a node allocation plus pointer chase
  * per insert and lookup. These replacements use open addressing over
  * a single power-of-two array (linear probing, Fibonacci hashing) so
- * the steady state performs no allocation at all.
+ * the steady state performs no allocation at all. A container that
+ * was never inserted into owns no array: the first insert allocates
+ * the minimum capacity, and lookups on an empty container return at
+ * once. Engines hold many per-block tables that stay empty for the
+ * whole run, so this keeps both construction and copies cheap.
  *
  * Keys are integral. One key value must be reserved as the empty
  * marker (defaults to the all-ones value, which BlockId/Addr/NodeId
@@ -55,7 +59,7 @@ template <typename K,
 class FlatSet
 {
   public:
-    FlatSet() { rehash(MinCapacity); }
+    FlatSet() = default;
 
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
@@ -64,6 +68,8 @@ class FlatSet
     contains(K key) const
     {
         panic_if(key == Empty, "FlatSet key equals empty marker");
+        if (count == 0)
+            return false;
         std::size_t i = slotOf(key);
         while (slots[i] != Empty) {
             if (slots[i] == key)
@@ -79,7 +85,7 @@ class FlatSet
     {
         panic_if(key == Empty, "FlatSet key equals empty marker");
         if ((count + 1) * 4 > capacity() * 3)
-            rehash(capacity() * 2);
+            rehash(std::max(MinCapacity, capacity() * 2));
         std::size_t i = slotOf(key);
         while (slots[i] != Empty) {
             if (slots[i] == key)
@@ -96,6 +102,8 @@ class FlatSet
     erase(K key)
     {
         panic_if(key == Empty, "FlatSet key equals empty marker");
+        if (count == 0)
+            return false;
         std::size_t i = slotOf(key);
         while (slots[i] != key) {
             if (slots[i] == Empty)
@@ -174,7 +182,7 @@ template <typename K, typename V,
 class FlatMap
 {
   public:
-    FlatMap() { rehash(MinCapacity); }
+    FlatMap() = default;
 
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
@@ -202,7 +210,7 @@ class FlatMap
     {
         panic_if(key == Empty, "FlatMap key equals empty marker");
         if ((count + 1) * 4 > capacity() * 3)
-            rehash(capacity() * 2);
+            rehash(std::max(MinCapacity, capacity() * 2));
         std::size_t i = slotOf(key);
         while (keys[i] != Empty) {
             if (keys[i] == key)
@@ -251,6 +259,8 @@ class FlatMap
     findSlot(K key) const
     {
         panic_if(key == Empty, "FlatMap key equals empty marker");
+        if (count == 0)
+            return npos;
         std::size_t i = slotOf(key);
         while (keys[i] != Empty) {
             if (keys[i] == key)

@@ -49,6 +49,24 @@ enum class LogLevel : int
 void setLogLevel(LogLevel lvl);
 LogLevel logLevel();
 
+/** Set the log level to Silent for a scope and restore the previous
+ *  level on exit (model checking visits panic-adjacent states on
+ *  purpose; their warnings are not output). */
+class SilenceLogging
+{
+  public:
+    SilenceLogging() : saved(logLevel())
+    {
+        setLogLevel(LogLevel::Silent);
+    }
+    ~SilenceLogging() { setLogLevel(saved); }
+    SilenceLogging(const SilenceLogging &) = delete;
+    SilenceLogging &operator=(const SilenceLogging &) = delete;
+
+  private:
+    LogLevel saved;
+};
+
 /**
  * Parse a level name ("silent", "error", "warn"/"warning", "info",
  * "debug", case-sensitive lowercase as documented) or a numeric

@@ -19,21 +19,6 @@ namespace mscp::verify
 namespace
 {
 
-/** Silence engine logging for the scope (exploration visits
- *  panic-adjacent states on purpose; stderr noise is not output). */
-class SilenceLogging
-{
-  public:
-    SilenceLogging() : saved(logLevel())
-    {
-        setLogLevel(LogLevel::Silent);
-    }
-    ~SilenceLogging() { setLogLevel(saved); }
-
-  private:
-    LogLevel saved;
-};
-
 std::string
 describeAction(const Action &a)
 {
@@ -125,7 +110,9 @@ Explorer::explore()
     std::unordered_set<Hash128, Hash128Hasher> settledSeen;
     std::vector<Frame> frames;
     std::vector<Action> path;
-    bool engineDirty = false;
+    /** Depth d holds the state of frames[d], saved when the frame
+     *  can take a second action (only then is it ever restored). */
+    SnapshotStack snaps;
 
     auto sleepHas = [](const std::vector<SleepEntry> &sleep,
                        std::uint64_t key) {
@@ -200,6 +187,14 @@ Explorer::explore()
         return f;
     };
 
+    // Push a frame for the gateway's current state.
+    auto pushFrame = [&](Frame &&f) {
+        if (f.acts.size() + f.deferred.size() > 1)
+            snaps.save(gw, frames.size());
+        ++onStack[f.h];
+        frames.push_back(std::move(f));
+    };
+
     Hash128 rootH = hashBytes(gw.canonical());
     seen.emplace(rootH, StoredSleep{});
     res.states = 1;
@@ -214,8 +209,7 @@ Explorer::explore()
             res.violations.push_back(v);
             return res;
         }
-        frames.push_back(buildFrame(rootH, std::move(acts), {}));
-        ++onStack[rootH];
+        pushFrame(buildFrame(rootH, std::move(acts), {}));
     }
 
     auto fail = [&](std::string kind,
@@ -234,21 +228,17 @@ Explorer::explore()
             if (os != onStack.end() && --os->second == 0)
                 onStack.erase(os);
             frames.pop_back();
-            if (!path.empty()) {
+            if (!path.empty())
                 path.pop_back();
-                engineDirty = true;
-            }
             continue;
         }
         const std::size_t ai = f.next++;
         const Action a = f.acts[ai];
 
-        if (engineDirty) {
-            gw.reset();
-            for (const Action &p : path)
-                gw.apply(p);
-            engineDirty = false;
-        }
+        // The first action leaves from the state the frame was
+        // pushed in; every later one from the saved copy of it.
+        if (ai > 0)
+            snaps.restore(gw, frames.size() - 1);
 
         bool panicked = false;
         std::string panicMsg;
@@ -356,7 +346,6 @@ Explorer::explore()
             if (superset) {
                 ++res.prunedSeen;
                 path.pop_back();
-                engineDirty = true;
                 continue;
             }
             std::vector<std::uint64_t> inter;
@@ -378,12 +367,10 @@ Explorer::explore()
         if (path.size() >= cfg.opt.maxDepth) {
             ++res.prunedDepth;
             path.pop_back();
-            engineDirty = true;
             continue;
         }
-        frames.push_back(
+        pushFrame(
             buildFrame(h, std::move(acts), std::move(childSleep)));
-        ++onStack[h];
     }
 
     res.complete = res.violations.empty() && !res.budgetExhausted &&

@@ -20,11 +20,13 @@ namespace mscp::verify
  * Depth-first exploration of the configuration's transition
  * system.
  *
- * The engine is non-copyable, so the explorer keeps exactly one
- * and restores states by deterministic replay of the action prefix
- * from a fresh reset. The seen-state set stores 128-bit hashes of
- * the canonical serialization; a revisited state prunes the
- * branch. Deadlocks (no enabled action with references
+ * The explorer keeps exactly one engine and one gateway snapshot
+ * per DFS depth (state.hh): before a frame tries its second and
+ * later actions it restores the snapshot saved when the frame was
+ * pushed, so backtracking costs a copy of the protocol state
+ * rather than an engine rebuild plus a replay of the action
+ * prefix. The seen-state set stores 128-bit hashes of the
+ * canonical serialization; a revisited state prunes the branch. Deadlocks (no enabled action with references
  * outstanding) are reported as violations.
  *
  * explore() checks *safety* only: a cycle of states revisits and

@@ -15,19 +15,6 @@ namespace mscp::verify
 namespace
 {
 
-class SilenceLogging
-{
-  public:
-    SilenceLogging() : saved(logLevel())
-    {
-        setLogLevel(LogLevel::Silent);
-    }
-    ~SilenceLogging() { setLogLevel(saved); }
-
-  private:
-    LogLevel saved;
-};
-
 constexpr std::uint32_t kNone = 0xffffffffu;
 
 struct GraphEdge
@@ -54,7 +41,11 @@ struct Graph
     bool complete = true;
 };
 
-/** Materialize the full transition graph by replay-based DFS. */
+/**
+ * Materialize the full transition graph by DFS. Backtracking
+ * restores the parent frame's snapshot (state.hh): one per depth,
+ * saved when the frame has a second action to try.
+ */
 Graph
 buildGraph(EngineGateway &gw, const VerifyConfig &cfg)
 {
@@ -70,7 +61,13 @@ buildGraph(EngineGateway &gw, const VerifyConfig &cfg)
 
     std::vector<Frame> frames;
     std::vector<Action> path;
-    bool engineDirty = false;
+    SnapshotStack snaps;
+
+    auto pushFrame = [&](Frame &&f) {
+        if (f.acts.size() > 1)
+            snaps.save(gw, frames.size());
+        frames.push_back(std::move(f));
+    };
 
     auto fairKeysOf = [](const std::vector<Action> &acts) {
         std::vector<std::uint64_t> keys;
@@ -94,34 +91,27 @@ buildGraph(EngineGateway &gw, const VerifyConfig &cfg)
         f.id = 0;
         f.acts = gw.enabledActions();
         root.fairKeys = fairKeysOf(f.acts);
-        frames.push_back(std::move(f));
+        pushFrame(std::move(f));
     }
 
     while (!frames.empty()) {
         Frame &f = frames.back();
         if (f.next >= f.acts.size()) {
             frames.pop_back();
-            if (!path.empty()) {
+            if (!path.empty())
                 path.pop_back();
-                engineDirty = true;
-            }
             continue;
         }
-        const Action a = f.acts[f.next++];
-
-        if (engineDirty) {
-            gw.reset();
-            for (const Action &p : path)
-                gw.apply(p);
-            engineDirty = false;
-        }
+        const std::size_t ai = f.next++;
+        const Action a = f.acts[ai];
+        if (ai > 0)
+            snaps.restore(gw, frames.size() - 1);
 
         try {
             gw.apply(a);
         } catch (const PanicError &) {
             // A safety failure, not a liveness edge; the safety
             // explorer owns reporting it.
-            engineDirty = true;
             continue;
         }
         path.push_back(a);
@@ -138,7 +128,6 @@ buildGraph(EngineGateway &gw, const VerifyConfig &cfg)
 
         if (!fresh) {
             path.pop_back();
-            engineDirty = true;
             continue;
         }
 
@@ -154,7 +143,6 @@ buildGraph(EngineGateway &gw, const VerifyConfig &cfg)
         if (path.size() >= cfg.opt.maxDepth) {
             g.complete = false;
             path.pop_back();
-            engineDirty = true;
             continue;
         }
 
@@ -163,7 +151,7 @@ buildGraph(EngineGateway &gw, const VerifyConfig &cfg)
         nf.acts = gw.enabledActions();
         cn.fairKeys = fairKeysOf(nf.acts);
         cn.expanded = true;
-        frames.push_back(std::move(nf));
+        pushFrame(std::move(nf));
     }
     return g;
 }

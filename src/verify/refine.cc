@@ -13,19 +13,6 @@ namespace mscp::verify
 namespace
 {
 
-class SilenceLogging
-{
-  public:
-    SilenceLogging() : saved(logLevel())
-    {
-        setLogLevel(LogLevel::Silent);
-    }
-    ~SilenceLogging() { setLogLevel(saved); }
-
-  private:
-    LogLevel saved;
-};
-
 /**
  * The set of atomic-register spec states consistent with the
  * observations so far (subset construction).
@@ -222,6 +209,18 @@ GatewaySubject::reset()
     gw->reset();
 }
 
+void
+GatewaySubject::save(std::size_t depth)
+{
+    snaps.save(*gw, depth);
+}
+
+void
+GatewaySubject::restore(std::size_t depth)
+{
+    snaps.restore(*gw, depth);
+}
+
 unsigned
 GatewaySubject::numCpus() const
 {
@@ -258,20 +257,28 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
     SilenceLogging silent;
     ExploreResult res;
 
+    /** One DFS level: the subject state is saved in the subject's
+     *  slot of the same depth, the spec set right here. */
     struct Frame
     {
         std::vector<Action> acts;
         std::size_t next = 0;
+        LinSpec spec;
     };
 
     std::unordered_set<Hash128, Hash128Hasher> seen;
     std::vector<Frame> frames;
     std::vector<Action> path;
-    bool dirty = false;
 
     subj.reset();
     LinSpec spec(subj.numCpus());
     std::string err;
+
+    auto pushFrame = [&](std::vector<Action> &&acts) {
+        if (acts.size() > 1)
+            subj.save(frames.size());
+        frames.push_back({std::move(acts), 0, spec});
+    };
 
     auto key = [&subj](const LinSpec &sp) {
         std::vector<std::uint8_t> b = subj.stateBytes();
@@ -281,7 +288,7 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
 
     seen.insert(key(spec));
     res.states = 1;
-    frames.push_back({subj.enabledActions(), 0});
+    pushFrame(subj.enabledActions());
 
     auto fail = [&](std::string kind, std::string detail) {
         Violation v;
@@ -295,21 +302,15 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
         Frame &f = frames.back();
         if (f.next >= f.acts.size()) {
             frames.pop_back();
-            if (!path.empty()) {
+            if (!path.empty())
                 path.pop_back();
-                dirty = true;
-            }
             continue;
         }
-        const Action a = f.acts[f.next++];
-
-        if (dirty) {
-            subj.reset();
-            spec = LinSpec(subj.numCpus());
-            for (const Action &p : path)
-                for (const ObsEvent &e : subj.apply(p))
-                    spec.step(e, err); // replays a validated path
-            dirty = false;
+        const std::size_t ai = f.next++;
+        const Action a = f.acts[ai];
+        if (ai > 0) {
+            subj.restore(frames.size() - 1);
+            spec = f.spec;
         }
 
         std::vector<ObsEvent> events;
@@ -344,7 +345,6 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
         if (!seen.insert(key(spec)).second) {
             ++res.prunedSeen;
             path.pop_back();
-            dirty = true;
             continue;
         }
         ++res.states;
@@ -355,10 +355,9 @@ checkRefinement(Subject &subj, std::uint64_t maxStates,
         if (path.size() >= maxDepth) {
             ++res.prunedDepth;
             path.pop_back();
-            dirty = true;
             continue;
         }
-        frames.push_back({subj.enabledActions(), 0});
+        pushFrame(subj.enabledActions());
     }
 
     res.complete = res.violations.empty() && !res.budgetExhausted &&

@@ -23,8 +23,12 @@
  * action path that produced it.
  *
  * The harness is generic over a Subject so future engines (e.g. a
- * timestamp-based protocol) plug in by implementing five virtuals;
- * GatewaySubject adapts the controlled-mode gateway. Symmetry
+ * timestamp-based protocol) plug in by implementing seven virtuals:
+ * reset, numCpus, enabledActions, apply, stateBytes, and the
+ * save/restore pair the depth-first search backtracks with (the
+ * subject keeps one saved state per search depth; the harness keeps
+ * the matching spec set in its own frame). GatewaySubject adapts
+ * the controlled-mode gateway and its snapshots. Symmetry
  * reduction is forced off underneath a subject: the spec set is
  * keyed by concrete cpu ids, which role permutation would alias.
  */
@@ -32,6 +36,7 @@
 #ifndef MSCP_VERIFY_REFINE_HH
 #define MSCP_VERIFY_REFINE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -47,8 +52,15 @@ class Subject
   public:
     virtual ~Subject() = default;
 
-    /** Rebuild the initial state. */
+    /** Return to the initial state. */
     virtual void reset() = 0;
+
+    /** Save the current state into slot @p depth (the search keeps
+     *  one per depth; a slot is overwritten by the next save). */
+    virtual void save(std::size_t depth) = 0;
+
+    /** Return to the state last saved into slot @p depth. */
+    virtual void restore(std::size_t depth) = 0;
 
     /** Number of cpus issuing operations (spec width). */
     virtual unsigned numCpus() const = 0;
@@ -78,6 +90,8 @@ class GatewaySubject final : public Subject
     ~GatewaySubject() override;
 
     void reset() override;
+    void save(std::size_t depth) override;
+    void restore(std::size_t depth) override;
     unsigned numCpus() const override;
     std::vector<Action> enabledActions() override;
     std::vector<ObsEvent> apply(const Action &a) override;
@@ -85,6 +99,7 @@ class GatewaySubject final : public Subject
 
   private:
     std::unique_ptr<EngineGateway> gw;
+    SnapshotStack snaps;
 };
 
 /**

@@ -76,6 +76,8 @@ EngineGateway::EngineGateway(const VerifyConfig &cfg_,
     }
 
     buildEngine();
+    if (!withTrace)
+        save(initial);
 }
 
 EngineGateway::~EngineGateway() = default;
@@ -83,7 +85,6 @@ EngineGateway::~EngineGateway() = default;
 void
 EngineGateway::buildEngine()
 {
-    eng.reset();
     net = std::make_unique<net::OmegaNetwork>(cfg.nodes);
 
     proto::ConcurrentParams p;
@@ -122,13 +123,69 @@ EngineGateway::buildEngine()
         }
     }
     eng->refsOutstanding = total;
-    actionsApplied = 0;
+}
+
+template <typename To, typename From>
+void
+EngineGateway::copyState(To &to, const From &from)
+{
+    to.ctrs = from.ctrs;
+    to.msgs = from.msgs;
+    to.cpus = from.cpus;
+    to.homes = from.homes;
+    to.deadNodes = from.deadNodes;
+    to.lastCompleted = from.lastCompleted;
+    to.pendingWrites = from.pendingWrites;
+    to._valueErrors = from._valueErrors;
+    to.vPending = from.vPending;
+    to.vSweepPending = from.vSweepPending;
+    to.vObsLog = from.vObsLog;
+    to.vMemSend = from.vMemSend;
+    to.readLatSum = from.readLatSum;
+    to.writeLatSum = from.writeLatSum;
+    to.readsDone = from.readsDone;
+    to.writesDone = from.writesDone;
+    to.refsOutstanding = from.refsOutstanding;
+}
+
+void
+EngineGateway::save(Snapshot &s) const
+{
+    // Controlled mode schedules nothing but advance()'s sentinel,
+    // which has fired by the time an action returns: the queue's
+    // tick is all of its state that matters.
+    panic_if(!eng->eq.empty(),
+             "verify: snapshot taken with events pending");
+    copyState(s, *eng);
+    s.tick = eng->eq.curTick();
+}
+
+void
+EngineGateway::restore(const Snapshot &s)
+{
+    panic_if(withTrace, "verify: a traced gateway is never restored");
+    copyState(*eng, s);
+    eng->eq.reset(s.tick);
 }
 
 void
 EngineGateway::reset()
 {
-    buildEngine();
+    restore(initial);
+}
+
+void
+SnapshotStack::save(const EngineGateway &gw, std::size_t depth)
+{
+    if (slots.size() <= depth)
+        slots.resize(depth + 1);
+    gw.save(slots[depth]);
+}
+
+void
+SnapshotStack::restore(EngineGateway &gw, std::size_t depth) const
+{
+    gw.restore(slots[depth]);
 }
 
 const Tracer &
@@ -400,7 +457,6 @@ EngineGateway::applyUnchecked(const Action &a)
       default:
         panic("verify: unknown action kind");
     }
-    ++actionsApplied;
 }
 
 void

@@ -20,18 +20,25 @@
  *  - Rejoin     a dead node cold-restarts;
  *  - Sweep      a dead node's stabilization sweep runs at the homes.
  *
- * Engines are deliberately non-copyable (the event queue holds
- * inline callbacks), so "restore" is replay: the explorer rebuilds
- * any state by resetting the gateway and re-applying the action
- * prefix that reached it. Determinism makes replay exact. The
- * canonical byte serialization (canon.cc) exists only for the
- * seen-state set and for symmetry reduction -- it is never
+ * Backtracking restores a Snapshot. The engine as a whole is not
+ * copyable (the event queue holds inline callbacks), but in
+ * controlled mode the queue is empty between actions, so the
+ * state an action can change is the engine's protocol state plus
+ * the queue's tick: the gateway copies exactly that out (save) and
+ * back (restore). The search loops keep one snapshot per DFS depth
+ * and restore the parent's before trying its next action; reset()
+ * is a restore of the snapshot taken at construction. Replay of an
+ * action prefix remains only where a path is edited (counterexample
+ * minimization, lasso checks, trace export), and determinism makes
+ * it exact. The canonical byte serialization (canon.cc) exists only
+ * for the seen-state set and for symmetry reduction -- it is never
  * deserialized.
  */
 
 #ifndef MSCP_VERIFY_STATE_HH
 #define MSCP_VERIFY_STATE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -217,7 +224,52 @@ class EngineGateway
                            bool with_trace = false);
     ~EngineGateway();
 
-    /** Rebuild the engine in its initial state. */
+    /**
+     * The engine's mutable state between two actions: everything
+     * an action can change and the engine reads back (cpus, homes,
+     * dead set, monitor, controlled-mode buffers, counters and
+     * latency sums), plus the event queue's tick. Members carry
+     * the engine's own names. Fill one with save(); once filled,
+     * later saves and restores are copy-assignments into storage
+     * that already exists.
+     */
+    struct Snapshot
+    {
+        using Engine = proto::ConcurrentProtocol;
+
+        proto::ConcurrentCounters ctrs;
+        proto::MessageCounters msgs;
+        std::vector<Engine::CpuState> cpus;
+        std::vector<Engine::HomeState> homes;
+        DynamicBitset deadNodes;
+        FlatMap<Addr, std::uint64_t> lastCompleted;
+        FlatMap<Addr, std::vector<std::uint64_t>> pendingWrites;
+        std::uint64_t _valueErrors = 0;
+        std::vector<Engine::VerifyPending> vPending;
+        std::vector<NodeId> vSweepPending;
+        std::vector<Engine::VerifyObs> vObsLog;
+        bool vMemSend = false;
+        double readLatSum = 0;
+        double writeLatSum = 0;
+        std::uint64_t readsDone = 0;
+        std::uint64_t writesDone = 0;
+        std::uint64_t refsOutstanding = 0;
+        Tick tick = 0;
+    };
+
+    /** Copy the current state into @p s. Panics unless the event
+     *  queue is empty (the snapshot holds no pending events). */
+    void save(Snapshot &s) const;
+
+    /**
+     * Return to the state saved in @p s: protocol state copied
+     * back, the event queue idle at the saved tick. Panics on a
+     * traced gateway, whose recording a restore would contradict.
+     */
+    void restore(const Snapshot &s);
+
+    /** Return to the initial state (restore of the snapshot taken
+     *  at construction). */
     void reset();
 
     /** Enabled transitions, in a fixed deterministic order. */
@@ -304,6 +356,10 @@ class EngineGateway
     using Msg = Engine::Msg;
 
     void buildEngine();
+    /** Copy the snapshot members between engine and snapshot (both
+     *  name them alike). */
+    template <typename To, typename From>
+    static void copyState(To &to, const From &from);
     /** Advance virtual time by one tick (one sentinel event), so
      *  durable-write stamps and LRU updates of successive actions
      *  stay causally ordered. */
@@ -337,7 +393,25 @@ class EngineGateway
     std::uint64_t nBlocks = 0;
     std::unique_ptr<net::OmegaNetwork> net;
     std::unique_ptr<Engine> eng;
-    std::uint64_t actionsApplied = 0;
+    /** The state buildEngine() produced (untraced gateways only). */
+    Snapshot initial;
+};
+
+/**
+ * One gateway snapshot per search depth, reused for the whole
+ * search: a depth-first loop saves a frame's state when it pushes
+ * the frame and restores it before the frame's next action. Slots
+ * are only ever added, so after the deepest path has been reached
+ * every save and restore copies into storage that already exists.
+ */
+class SnapshotStack
+{
+  public:
+    void save(const EngineGateway &gw, std::size_t depth);
+    void restore(EngineGateway &gw, std::size_t depth) const;
+
+  private:
+    std::vector<EngineGateway::Snapshot> slots;
 };
 
 } // namespace mscp::verify
