@@ -20,9 +20,10 @@
  * coverage for speed.
  *
  * Exhaustible configs additionally run the liveness checker
- * (liveness.hh: weakly fair accepting cycles over the full graph)
- * and the 2-node configs run the refinement checker (refine.hh:
- * observable-trace inclusion in the atomic-register spec).
+ * (liveness.hh: weakly fair accepting cycles over the full graph),
+ * and A-dw and A-gr run the refinement checker (refine.hh:
+ * observable-trace inclusion in the atomic-register spec); the
+ * other configs print '-' in the refine column.
  *
  * A machine-readable per-config coverage summary is written to
  * $MSCP_VERIFY_COVERAGE_OUT when set; tools/check_verify_coverage.py

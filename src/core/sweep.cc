@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
+#include <string>
 
 #include "proto/checker.hh"
 #include "proto/concurrent.hh"
@@ -296,14 +297,50 @@ capturePointObservability(const SweepPoint &pt,
     return true;
 }
 
+namespace
+{
+
+/** The point as runSweep's error prefix names it. */
+std::string
+describePoint(std::size_t index, const SweepPoint &pt)
+{
+    std::string crash = "none";
+    if (pt.crashNode != invalidNode) {
+        crash = csprintf("node%u@%llu+%llu", pt.crashNode,
+                         static_cast<unsigned long long>(pt.crashTick),
+                         static_cast<unsigned long long>(
+                             pt.crashRestartDelta));
+    }
+    return csprintf("point %zu (%s ports=%u cache=%ux%u tasks=%u w=%g "
+                    "blocks=%u seed=%llu drop=%g dup=%g delay=%g "
+                    "crash=%s)",
+                    index, engineKindName(pt.engine), pt.numPorts,
+                    pt.sets, pt.assoc, pt.tasks, pt.writeFraction,
+                    pt.numBlocks,
+                    static_cast<unsigned long long>(pt.seed),
+                    pt.faultDropRate, pt.faultDupRate,
+                    pt.faultDelayRate, crash.c_str());
+}
+
+} // anonymous namespace
+
 std::vector<SweepResult>
 runSweep(const std::vector<SweepPoint> &points,
          unsigned num_threads)
 {
     std::vector<SweepResult> results(points.size());
     ThreadPool::parallelFor(
-        points.size(), num_threads,
-        [&](std::size_t i) { results[i] = runPoint(points[i]); });
+        points.size(), num_threads, [&](std::size_t i) {
+            try {
+                results[i] = runPoint(points[i]);
+            } catch (const PanicError &e) {
+                throw PanicError(describePoint(i, points[i]) + ": " +
+                                 e.message);
+            } catch (const FatalError &e) {
+                throw FatalError(describePoint(i, points[i]) + ": " +
+                                 e.message);
+            }
+        });
     return results;
 }
 

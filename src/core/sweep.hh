@@ -213,6 +213,14 @@ bool capturePointObservability(const SweepPoint &pt,
  * results[i] corresponds to points[i] and is bit-identical for any
  * thread count.
  *
+ * A PanicError or FatalError from a point is rethrown as the same
+ * type with the point prefixed to its message: index, engine,
+ * ports, cache sets x assoc, tasks, write fraction, shared blocks,
+ * seed, fault rates and crash plan (node@tick+restart-delta). With
+ * more than one worker the pool rethrows the first error by time,
+ * so the named point is the lowest failing index only when
+ * num_threads is 1 (MSCP_THREADS=1).
+ *
  * Threading knobs are orthogonal: MSCP_THREADS (ThreadPool) fans
  * independent points across workers, while MSCP_PDES_THREADS
  * (sim/pdes.hh) shards a single timed run internally. A sweep of

@@ -49,8 +49,7 @@ ConcurrentProtocol::ConcurrentProtocol(net::OmegaNetwork &network,
     // watchdog (so deadlock reports always carry history). The
     // queue and network tracers stay detached otherwise, keeping
     // their untraced paths to a single branch.
-    if (traceCompiledIn() &&
-        (params.traceEnabled || params.watchdogPeriod > 0)) {
+    if (params.traceEnabled || params.watchdogPeriod > 0) {
         _tracer.setEnabled(true);
         // When the tracer rides along only as the watchdog's
         // history buffer, ring overwrite is its designed steady
@@ -63,7 +62,7 @@ ConcurrentProtocol::ConcurrentProtocol(net::OmegaNetwork &network,
     // sampler and the network's heatmap hooks are only installed
     // while enabled, so a metrics-off run pays one branch per call
     // site and is byte-identical in results and output.
-    if (metricsCompiledIn() && params.metricsEnabled) {
+    if (params.metricsEnabled) {
         mx.setEnabled(true);
         msampler.setProbe([this] { metricsProbe(); });
         msampler.arm();
@@ -437,13 +436,6 @@ ConcurrentProtocol::sendMulticastMsg(MsgType t, NodeId src,
 void
 ConcurrentProtocol::deliver(const Msg &m)
 {
-    DPRINTF("Concurrent", "t=%llu %s %u->%u blk=%llu req=%u "
-            "off=%u val=%llu flag=%d %s",
-            static_cast<unsigned long long>(eq.curTick()),
-            msgTypeName(m.type), m.src, m.dst,
-            static_cast<unsigned long long>(m.blk), m.requester,
-            m.offset, static_cast<unsigned long long>(m.value),
-            m.flag, m.toMemory ? "mem" : "cache");
     trace(TraceEvent::Deliver, m.src, m.dst,
           static_cast<std::uint8_t>(m.type), m.seq, m.blk);
     if (_aborted)
@@ -485,11 +477,6 @@ ConcurrentProtocol::issueNext(NodeId cpu)
     cs.active = true;
     cs.issueTick = eq.curTick();
     cs.attempts = 0;
-    DPRINTF("Concurrent", "t=%llu cpu%u issues %c @%llu val=%llu",
-            static_cast<unsigned long long>(eq.curTick()), cpu,
-            cs.ref.isWrite ? 'W' : 'R',
-            static_cast<unsigned long long>(cs.ref.addr),
-            static_cast<unsigned long long>(cs.ref.value));
     cs.phase = Phase::Idle;
     cs.pointerRetries = 0;
     if (cs.ref.isWrite) {
@@ -2500,8 +2487,7 @@ ConcurrentProtocol::buildDeadlockReport(
                     static_cast<unsigned long long>(r.arg));
             }
         } else {
-            out += "        (no event history: tracing disabled "
-                   "or compiled out)\n";
+            out += "        (no event history: tracing disabled)\n";
         }
     }
     std::size_t inflight = 0;

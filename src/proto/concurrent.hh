@@ -162,8 +162,7 @@ struct ConcurrentParams
     /**
      * Runtime tracing enable. The tracer is also switched on
      * whenever the watchdog is armed (watchdogPeriod > 0) so a
-     * deadlock report always carries event history. With tracing
-     * compiled out (MSCP_TRACE=OFF) both knobs are inert.
+     * deadlock report always carries event history.
      */
     bool traceEnabled = false;
     /** Ring capacity in records (rounded up to a power of two). */
@@ -171,8 +170,7 @@ struct ConcurrentParams
     /**
      * Runtime windowed-metrics enable (sim/metrics.hh): per-link
      * contention heatmaps, queue/directory gauges and health
-     * counters snapshotted every metricsWindow ticks. With metrics
-     * compiled out (MSCP_METRICS=OFF) all three knobs are inert.
+     * counters snapshotted every metricsWindow ticks.
      */
     bool metricsEnabled = false;
     /** Sampling window width in sim ticks. */

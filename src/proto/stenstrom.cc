@@ -84,9 +84,6 @@ StenstromProtocol::read(NodeId cpu, Addr addr)
     unsigned off = params.geometry.offsetOf(addr);
 
     ++ctrs.reads;
-    DPRINTF("Stenstrom", "cpu%u R @%llu (block %llu)", cpu,
-            static_cast<unsigned long long>(addr),
-            static_cast<unsigned long long>(blk));
     auto &ca = caches[cpu];
     Entry *e = ca.find(blk);
 
@@ -201,9 +198,6 @@ StenstromProtocol::write(NodeId cpu, Addr addr, std::uint64_t value)
     unsigned off = params.geometry.offsetOf(addr);
 
     ++ctrs.writes;
-    DPRINTF("Stenstrom", "cpu%u W @%llu (block %llu)", cpu,
-            static_cast<unsigned long long>(addr),
-            static_cast<unsigned long long>(blk));
     auto &ca = caches[cpu];
     Entry *e = ca.find(blk);
 
@@ -281,8 +275,6 @@ StenstromProtocol::acquireFromUnOwned(NodeId cpu, Entry &e,
     sendUnicast(MsgType::OwnFwd, home, o, 0);
     Entry &oe = ownerEntry(o, blk);
     ++ctrs.ownershipTransfers;
-    DPRINTF("Stenstrom", "block %llu ownership %u -> %u (upgrade)",
-            static_cast<unsigned long long>(blk), o, cpu);
 
     if (cache::modeOf(oe.field.state) == Mode::DistributedWrite) {
         // 3-(d)-i: state field only; old owner's copy stays valid.
@@ -413,9 +405,6 @@ StenstromProtocol::replaceVictim(NodeId cpu, Entry &victim)
     NodeId home = homeOf(vb);
     auto &mm = memories[home];
     ++ctrs.replacements;
-    DPRINTF("Stenstrom", "cpu%u evicts block %llu (%s)", cpu,
-            static_cast<unsigned long long>(vb),
-            cache::stateName(victim.field.state));
 
     switch (victim.field.state) {
       case State::OwnedExclDW:
@@ -591,9 +580,6 @@ StenstromProtocol::setMode(NodeId cpu, Addr addr, cache::Mode mode)
     if (cur == mode)
         return;
     ++ctrs.modeSwitches;
-    DPRINTF("Stenstrom", "block %llu mode %s -> %s (cpu%u)",
-            static_cast<unsigned long long>(blk),
-            cache::modeName(cur), cache::modeName(mode), cpu);
 
     if (mode == Mode::GlobalRead) {
         // 7: invalidate every copy; holders keep OWNER pointers, so

@@ -3,9 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <set>
 #include <vector>
 
 namespace mscp
@@ -38,11 +35,6 @@ csprintf(const char *fmt, ...)
 namespace
 {
 
-// Atomic because parallel drivers (the sweep runner, the model
-// -checker sweep) toggle/read these from worker threads; relaxed
-// ordering suffices -- they gate diagnostics, not data.
-std::atomic<bool> throwsOnError{true};
-
 /** Parse MSCP_LOG once, before main(); default keeps the historical
  *  behavior (warn and inform both print). */
 LogLevel
@@ -53,6 +45,9 @@ initialLogLevel()
     return LogLevel::Info;
 }
 
+// Atomic because parallel drivers (the sweep runner, the model
+// -checker sweep) set/read it from worker threads; it gates
+// diagnostics, not data.
 std::atomic<LogLevel> currentLevel{initialLogLevel()};
 
 } // anonymous namespace
@@ -72,29 +67,14 @@ logLevel()
 LogLevel
 parseLogLevel(const std::string &name, LogLevel fallback)
 {
-    if (name == "silent" || name == "0")
+    if (name == "silent" || name == "0" || name == "error" ||
+        name == "1")
         return LogLevel::Silent;
-    if (name == "error" || name == "1")
-        return LogLevel::Error;
     if (name == "warn" || name == "warning" || name == "2")
         return LogLevel::Warn;
-    if (name == "info" || name == "3")
+    if (name == "info" || name == "3" || name == "debug" || name == "4")
         return LogLevel::Info;
-    if (name == "debug" || name == "4")
-        return LogLevel::Debug;
     return fallback;
-}
-
-void
-setLoggingThrows(bool throws)
-{
-    throwsOnError = throws;
-}
-
-bool
-loggingThrows()
-{
-    return throwsOnError;
 }
 
 void
@@ -104,12 +84,8 @@ panicImpl(const char *file, int line, const char *fmt, ...)
     va_start(args, fmt);
     std::string msg = vcsprintf(fmt, args);
     va_end(args);
-    std::string full = csprintf("panic: %s (%s:%d)", msg.c_str(),
-                                file, line);
-    if (throwsOnError)
-        throw PanicError{full};
-    std::fprintf(stderr, "%s\n", full.c_str());
-    std::abort();
+    throw PanicError(csprintf("panic: %s (%s:%d)", msg.c_str(), file,
+                              line));
 }
 
 void
@@ -119,12 +95,8 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     va_start(args, fmt);
     std::string msg = vcsprintf(fmt, args);
     va_end(args);
-    std::string full = csprintf("fatal: %s (%s:%d)", msg.c_str(),
-                                file, line);
-    if (throwsOnError)
-        throw FatalError{full};
-    std::fprintf(stderr, "%s\n", full.c_str());
-    std::exit(1);
+    throw FatalError(csprintf("fatal: %s (%s:%d)", msg.c_str(), file,
+                              line));
 }
 
 void
@@ -149,85 +121,6 @@ informImpl(const char *fmt, ...)
     std::string msg = vcsprintf(fmt, args);
     va_end(args);
     std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-namespace debug
-{
-
-bool anyEnabled = false;
-
-namespace
-{
-
-std::set<std::string> &
-flagSet()
-{
-    static std::set<std::string> flags = [] {
-        std::set<std::string> init;
-        if (const char *env = std::getenv("MSCP_DEBUG")) {
-            const char *p = env;
-            while (*p) {
-                const char *comma = std::strchr(p, ',');
-                std::size_t len = comma ? static_cast<std::size_t>(
-                    comma - p) : std::strlen(p);
-                if (len > 0)
-                    init.emplace(p, len);
-                p += len;
-                if (*p == ',')
-                    ++p;
-            }
-        }
-        anyEnabled = !init.empty();
-        return init;
-    }();
-    return flags;
-}
-
-/** Parse MSCP_DEBUG (and set anyEnabled) before main() runs. */
-[[maybe_unused]] const bool flagsInitialized = (flagSet(), true);
-
-} // anonymous namespace
-
-void
-enable(const std::string &flag)
-{
-    flagSet().insert(flag);
-    anyEnabled = true;
-}
-
-void
-disable(const std::string &flag)
-{
-    flagSet().erase(flag);
-    anyEnabled = !flagSet().empty();
-}
-
-bool
-enabled(const std::string &flag)
-{
-    const auto &flags = flagSet();
-    return flags.count(flag) > 0 || flags.count("All") > 0;
-}
-
-void
-clear()
-{
-    flagSet().clear();
-    anyEnabled = false;
-}
-
-} // namespace debug
-
-void
-dprintfImpl(const char *flag, const char *fmt, ...)
-{
-    if (!debug::enabled(flag))
-        return;
-    va_list args;
-    va_start(args, fmt);
-    std::string msg = vcsprintf(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "%s: %s\n", flag, msg.c_str());
 }
 
 } // namespace mscp

@@ -3,28 +3,30 @@
  * Error and status reporting in the spirit of gem5's base/logging.hh.
  *
  * panic()  - an internal invariant was violated; this is a library bug.
- *            Prints and aborts.
+ *            Throws PanicError.
  * fatal()  - the simulation cannot continue because of a user error
- *            (bad configuration, invalid arguments). Prints and exits.
+ *            (bad configuration, invalid arguments). Throws FatalError.
  * warn()   - something works well enough but deserves attention.
  * inform() - plain status output.
  *
- * DPRINTF(flag, ...) prints only when the named debug flag is enabled
- * (programmatically or via the MSCP_DEBUG environment variable, a
- * comma-separated flag list; "All" enables everything).
+ * Both error types are std::exceptions whose what() is the message,
+ * so an uncaught one still explains itself through the terminate
+ * handler, and the model checker can turn an engine panic into a
+ * counterexample.
  *
- * warn() and inform() are additionally gated by a runtime log level,
- * settable programmatically (setLogLevel) or via the MSCP_LOG
- * environment variable ("silent", "error", "warn", "info" - the
- * default - or "debug"). panic/fatal are never suppressed, and
- * DPRINTF stays governed by its own flag set.
+ * warn() and inform() are gated by a runtime log level, settable
+ * programmatically (setLogLevel) or via the MSCP_LOG environment
+ * variable ("silent", "warn", "info" - the default). panic/fatal are
+ * never suppressed.
  */
 
 #ifndef MSCP_SIM_LOGGING_HH
 #define MSCP_SIM_LOGGING_HH
 
 #include <cstdarg>
+#include <exception>
 #include <string>
+#include <utility>
 
 namespace mscp
 {
@@ -32,17 +34,13 @@ namespace mscp
 /**
  * Runtime verbosity. Each level includes everything above it:
  * Silent suppresses warn() and inform(), Warn shows warnings only,
- * Info (the default) restores the historical behavior where both
- * print. Error exists as an explicit "problems only" setting; since
- * panic/fatal are never suppressed it currently filters like Silent.
+ * Info (the default) prints both.
  */
 enum class LogLevel : int
 {
     Silent = 0,
-    Error = 1,
     Warn = 2,
     Info = 3,
-    Debug = 4,
 };
 
 /** Set the runtime log level (overrides MSCP_LOG). */
@@ -68,9 +66,10 @@ class SilenceLogging
 };
 
 /**
- * Parse a level name ("silent", "error", "warn"/"warning", "info",
- * "debug", case-sensitive lowercase as documented) or a numeric
- * value 0-4. @return @p fallback for anything unrecognized.
+ * Parse a level name ("silent", "warn"/"warning", "info",
+ * case-sensitive lowercase as documented) or a numeric value 0-4.
+ * "error"/1 read as Silent and "debug"/4 as Info, the levels they
+ * filter like. @return @p fallback for anything unrecognized.
  */
 LogLevel parseLogLevel(const std::string &name, LogLevel fallback);
 
@@ -95,51 +94,21 @@ void warnImpl(const char *fmt, ...)
 void informImpl(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/**
- * When true (default in tests), panic/fatal throw PanicError /
- * FatalError instead of terminating the process, so that death paths
- * are unit-testable without gtest death tests forking the simulator.
- */
-void setLoggingThrows(bool throws);
-bool loggingThrows();
-
-/** Exception thrown by panic() when setLoggingThrows(true). */
-struct PanicError
+/** Exception thrown by panic(); what() is the message. */
+struct PanicError : std::exception
 {
+    explicit PanicError(std::string msg) : message(std::move(msg)) {}
+    const char *what() const noexcept override { return message.c_str(); }
     std::string message;
 };
 
-/** Exception thrown by fatal() when setLoggingThrows(true). */
-struct FatalError
+/** Exception thrown by fatal(); what() is the message. */
+struct FatalError : std::exception
 {
+    explicit FatalError(std::string msg) : message(std::move(msg)) {}
+    const char *what() const noexcept override { return message.c_str(); }
     std::string message;
 };
-
-namespace debug
-{
-
-/** Enable one debug flag by name ("All" enables every flag). */
-void enable(const std::string &flag);
-/** Disable one debug flag by name. */
-void disable(const std::string &flag);
-/** @return true iff the flag (or "All") is enabled. */
-bool enabled(const std::string &flag);
-/** Remove all enabled flags. */
-void clear();
-
-/**
- * True iff at least one debug flag is enabled. DPRINTF reads this
- * before doing any work, so the disabled case costs one predictable
- * branch instead of a std::string construction and a set lookup per
- * call site.
- */
-extern bool anyEnabled;
-
-} // namespace debug
-
-/** Emit a debug line guarded by a flag. */
-void dprintfImpl(const char *flag, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
 
 } // namespace mscp
 
@@ -163,11 +132,5 @@ void dprintfImpl(const char *flag, const char *fmt, ...)
 
 #define warn(...) ::mscp::warnImpl(__VA_ARGS__)
 #define inform(...) ::mscp::informImpl(__VA_ARGS__)
-
-#define DPRINTF(flag, ...)                                        \
-    do {                                                          \
-        if (::mscp::debug::anyEnabled)                            \
-            ::mscp::dprintfImpl(flag, __VA_ARGS__);               \
-    } while (0)
 
 #endif // MSCP_SIM_LOGGING_HH

@@ -23,10 +23,9 @@
  *    (idle windows) filled by carry-forward at merge/export time --
  *    so an idle stretch costs nothing and cannot flood the ring.
  *
- * Cost model: compiled out (MSCP_METRICS=OFF defines
- * MSCP_METRICS_DISABLED) every mutator is an empty inline function;
- * compiled in but runtime-disabled each is a single predictable
- * branch, and the sampler's advanceTo() is one comparison.
+ * Cost model: while runtime-disabled each mutator is a single
+ * predictable branch, and the sampler's advanceTo() is one
+ * comparison.
  *
  * Determinism: per-shard sets are sampled by per-shard samplers at
  * the shard's own event ticks, and shard count is fixed by
@@ -52,17 +51,6 @@
 
 namespace mscp
 {
-
-/** @return true iff metrics support is compiled in. */
-constexpr bool
-metricsCompiledIn()
-{
-#ifdef MSCP_METRICS_DISABLED
-    return false;
-#else
-    return true;
-#endif
-}
 
 /** How a series' cells are interpreted at export time. */
 enum class MetricKind : std::uint8_t
@@ -155,8 +143,7 @@ class MetricsRegistry
 
 /**
  * One engine's (or one shard's) cell array. Mutators follow the
- * tracer contract: empty when compiled out, one branch while
- * runtime-disabled.
+ * tracer contract: one branch while runtime-disabled.
  */
 class MetricSet
 {
@@ -168,49 +155,33 @@ class MetricSet
     /** Runtime enable; mutators are no-ops while disabled. */
     void setEnabled(bool on) { _enabled = on; }
 
-    bool
-    enabled() const
-    {
-        return metricsCompiledIn() && _enabled;
-    }
+    bool enabled() const { return _enabled; }
 
     /** Add @p d to a scalar counter. */
     void
     add(MetricId id, std::uint64_t d = 1)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (!_enabled)
             return;
         cells[id.slot] += d;
-#else
-        (void)id; (void)d;
-#endif
     }
 
     /** Overwrite a scalar cell (gauges, probe-mirrored counters). */
     void
     set(MetricId id, std::uint64_t v)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (!_enabled)
             return;
         cells[id.slot] = v;
-#else
-        (void)id; (void)v;
-#endif
     }
 
     /** Count @p v into a log2 histogram series. */
     void
     sample(MetricId id, std::uint64_t v)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (!_enabled)
             return;
         cells[id.slot + metricBucket(v)] += 1;
-#else
-        (void)id; (void)v;
-#endif
     }
 
     /** Add @p d to grid cell (@p row, @p col). */
@@ -218,13 +189,9 @@ class MetricSet
     cell(MetricId id, std::uint32_t row, std::uint32_t col,
          std::uint64_t d = 1)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (!_enabled)
             return;
         cells[id.slot + row * id.cols + col] += d;
-#else
-        (void)id; (void)row; (void)col; (void)d;
-#endif
     }
 
     /** Overwrite grid cell (@p row, @p col). */
@@ -232,13 +199,9 @@ class MetricSet
     setCell(MetricId id, std::uint32_t row, std::uint32_t col,
             std::uint64_t v)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (!_enabled)
             return;
         cells[id.slot + row * id.cols + col] = v;
-#else
-        (void)id; (void)row; (void)col; (void)v;
-#endif
     }
 
     /** Current value of cell (@p row, @p col) of a series. */
@@ -348,13 +311,9 @@ class MetricsSampler
     void
     advanceTo(Tick now)
     {
-#ifndef MSCP_METRICS_DISABLED
         if (now < next)
             return;
         snapshotBoundary(now);
-#else
-        (void)now;
-#endif
     }
 
     /**

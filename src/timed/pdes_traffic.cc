@@ -146,7 +146,7 @@ PdesTrafficSystem::PdesTrafficSystem(const PdesTrafficConfig &config)
     panic_if(cfg.linkWidthBits == 0, "linkWidthBits must be >= 1");
 
     const unsigned n_ports = cfg.numPorts;
-    const bool metrics = metricsCompiledIn() && cfg.metricsEnabled;
+    const bool metrics = cfg.metricsEnabled;
     shards.reserve(map.numShards());
     for (unsigned s = 0; s < map.numShards(); ++s) {
         auto sh = std::make_unique<Shard>();

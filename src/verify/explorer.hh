@@ -81,8 +81,7 @@ class Explorer
      * Replay @p path on a trace-enabled engine and export the
      * recording as Chrome trace_event JSON (Perfetto-loadable).
      * Each action boundary is marked with a VerifyAction instant.
-     * For a lasso, pass prefix+cycle concatenated. No-op output
-     * (an empty JSON array) when tracing is compiled out.
+     * For a lasso, pass prefix+cycle concatenated.
      */
     static void exportTrace(const VerifyConfig &cfg,
                             const std::vector<Action> &path,

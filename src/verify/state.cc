@@ -412,8 +412,9 @@ EngineGateway::advance()
 }
 
 void
-EngineGateway::applyUnchecked(const Action &a)
+EngineGateway::apply(const Action &a)
 {
+    advance();
     switch (a.kind) {
       case ActionKind::Issue:
         eng->issueNext(a.node);
@@ -457,21 +458,6 @@ EngineGateway::applyUnchecked(const Action &a)
       default:
         panic("verify: unknown action kind");
     }
-}
-
-void
-EngineGateway::apply(const Action &a)
-{
-    advance();
-    bool saved = loggingThrows();
-    setLoggingThrows(true);
-    try {
-        applyUnchecked(a);
-    } catch (...) {
-        setLoggingThrows(saved);
-        throw;
-    }
-    setLoggingThrows(saved);
 }
 
 bool

@@ -276,8 +276,7 @@ class EngineGateway
     std::vector<Action> enabledActions() const;
 
     /**
-     * Apply an enabled action. Engine panics surface as PanicError
-     * (logging is switched to throwing around the dispatch).
+     * Apply an enabled action. Engine panics surface as PanicError.
      */
     void apply(const Action &a);
 
@@ -364,7 +363,6 @@ class EngineGateway
      *  durable-write stamps and LRU updates of successive actions
      *  stay causally ordered. */
     void advance();
-    void applyUnchecked(const Action &a);
     bool enabledNonDeliver(const Action &a) const;
     /** Whether pending entry @p i is the head of its stream. */
     bool isStreamHead(std::size_t i) const;

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/sweep.hh"
-#include "sim/metrics.hh"
+#include "sim/logging.hh"
 
 #include "../sim/json_checker.hh"
 
@@ -133,6 +133,25 @@ TEST(Sweep, EngineKindNamesAreDistinct)
                  core::engineKindName(EngineKind::TwoModeForceGR));
 }
 
+TEST(Sweep, FailingPointNamesItself)
+{
+    // A point's fatal error must say which point it came from: 48
+    // ports is not a power of two, so the omega topology rejects it.
+    std::vector<core::SweepPoint> points(2);
+    points[0].numRefs = 200;
+    points[1].numRefs = 200;
+    points[1].numPorts = 48;
+    try {
+        core::runSweep(points, 1);
+        FAIL() << "runSweep accepted a 48-port point";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("point 1 "), std::string::npos) << what;
+        EXPECT_NE(what.find("ports=48"), std::string::npos) << what;
+        EXPECT_NE(what.find("fatal: "), std::string::npos) << what;
+    }
+}
+
 TEST(Sweep, ObservedRunNeverPerturbsResults)
 {
     // runPointObserved's contract: attaching the tracer and the
@@ -160,13 +179,8 @@ TEST(Sweep, ObservedRunNeverPerturbsResults)
     EXPECT_TRUE(mscp::test::JsonChecker(trace.str()).valid());
 
     // The metrics stream is JSON Lines: every line valid on its own,
-    // each carrying the label we passed. Empty only when metrics are
-    // compiled out.
+    // each carrying the label we passed.
     const std::string mtext = metrics.str();
-    if (!metricsCompiledIn()) {
-        EXPECT_TRUE(mtext.empty());
-        return;
-    }
     ASSERT_FALSE(mtext.empty());
     std::istringstream lines(mtext);
     std::string line;

@@ -428,16 +428,11 @@ TEST(FaultSoak, WatchdogCatchesUnrecoverableDrop)
     // The dump names the wedged cpu and its phase.
     EXPECT_NE(p.deadlockReport().find("cpu0"), std::string::npos);
     EXPECT_NE(p.deadlockReport().find("phase"), std::string::npos);
-    if (traceCompiledIn()) {
-        // The watchdog auto-enables the tracer, so the report must
-        // replay the wedged transaction's event history: at least
-        // the issue of the reference whose reply vanished.
-        EXPECT_NE(p.deadlockReport().find("last"),
-                  std::string::npos) << p.deadlockReport();
-        EXPECT_NE(p.deadlockReport().find("issue"),
-                  std::string::npos) << p.deadlockReport();
-    } else {
-        EXPECT_NE(p.deadlockReport().find("no event history"),
-                  std::string::npos);
-    }
+    // The watchdog auto-enables the tracer, so the report must
+    // replay the wedged transaction's event history: at least the
+    // issue of the reference whose reply vanished.
+    EXPECT_NE(p.deadlockReport().find("last"), std::string::npos)
+        << p.deadlockReport();
+    EXPECT_NE(p.deadlockReport().find("issue"), std::string::npos)
+        << p.deadlockReport();
 }

@@ -67,8 +67,7 @@ TEST(Metrics, Log2Buckets)
 
 TEST(Metrics, MutatorsAreNoOpsWhileDisabled)
 {
-    // Holds in both builds: compiled out they are empty, compiled
-    // in the runtime enable is off by default.
+    // The runtime enable is off by default.
     Schema s;
     MetricSet m(s.reg);
     m.add(s.refs, 5);
@@ -91,8 +90,6 @@ TEST(Metrics, DisarmedSamplerNeverSnapshots)
     EXPECT_EQ(smp.snapshots(), 0u);
     EXPECT_TRUE(smp.snapshotWindows().empty());
 }
-
-#ifndef MSCP_METRICS_DISABLED
 
 TEST(Metrics, MutatorsAccumulate)
 {
@@ -423,5 +420,3 @@ TEST(Metrics, SamplerSeriesIsIdenticalAcrossShardCounts)
     for (unsigned shards : {2u, 4u, 8u})
         EXPECT_EQ(run(shards), base) << shards << " shards";
 }
-
-#endif // !MSCP_METRICS_DISABLED

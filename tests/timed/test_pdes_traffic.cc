@@ -216,8 +216,6 @@ TEST(PdesTraffic, MetricsSeriesIdenticalAcrossWorkerCountsAndSerial)
     // serial reference engine), so the merged window series must be
     // bit-identical everywhere. MetricsWindow's defaulted operator==
     // compares every cell.
-    if (!metricsCompiledIn())
-        GTEST_SKIP() << "metrics compiled out (MSCP_METRICS=OFF)";
     PdesTrafficConfig cfg = smallConfig();
     cfg.metricsEnabled = true;
     cfg.metricsWindow = 64;

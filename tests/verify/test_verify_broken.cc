@@ -253,9 +253,7 @@ TEST(VerifyBroken, LivelockLassoExportsChromeTrace)
     std::string json = os.str();
     ASSERT_FALSE(json.empty());
     EXPECT_EQ(json.front(), '[');
-    if (traceCompiledIn()) {
-        EXPECT_NE(json.find("verify_action"), std::string::npos);
-    }
+    EXPECT_NE(json.find("verify_action"), std::string::npos);
 }
 
 TEST(VerifyBroken, StaleValueSeamFailsRefinement)
@@ -282,12 +280,10 @@ TEST(VerifyBroken, CounterexampleReplaysIntoChromeTrace)
     std::ostringstream os;
     Explorer::exportTrace(cfg, min.path, os);
     std::string json = os.str();
-    // Always a syntactically complete trace_event array; the replay
-    // markers only exist when tracing is compiled in.
+    // A syntactically complete trace_event array carrying the
+    // replay markers.
     ASSERT_FALSE(json.empty());
     EXPECT_EQ(json.front(), '[');
-    if (traceCompiledIn()) {
-        EXPECT_NE(json.find("verify_action"), std::string::npos);
-        EXPECT_NE(json.find("\"ph\""), std::string::npos);
-    }
+    EXPECT_NE(json.find("verify_action"), std::string::npos);
+    EXPECT_NE(json.find("\"ph\""), std::string::npos);
 }

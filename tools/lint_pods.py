@@ -9,9 +9,8 @@ hot paths rely on but the compiler only partially enforces:
     trace ring's zero-allocation claim and the Chrome exporter's
     math both assume this layout.
 
- 2. Tracer::record() compiles to nothing under MSCP_TRACE_DISABLED:
-    the body must be inside an '#ifndef MSCP_TRACE_DISABLED' region
-    so the trace-off build's benches stay byte-identical for free.
+ (Number 2 is retired: it guarded a compile-time trace switch the
+ build no longer has. The other numbers stay stable.)
 
  3. Tracer record call sites stay guarded: 'tracer->record(' must
     sit under an 'if (tracer' null check (the tracer pointer is the
@@ -129,16 +128,6 @@ def check_trace_record():
                      text):
         fail(path, line, "missing sizeof(TraceRecord) == 32 "
                          "static_assert")
-
-    rec = text.find("record(TraceEvent kind")
-    if rec < 0:
-        fail(path, 1, "Tracer::record() not found")
-    else:
-        window = text[rec:rec + 600]
-        if "#ifndef MSCP_TRACE_DISABLED" not in window:
-            fail(path, text.count("\n", 0, rec) + 1,
-                 "Tracer::record() body is not compiled out under "
-                 "MSCP_TRACE_DISABLED")
 
 
 def check_record_call_sites():
